@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -212,9 +211,38 @@ class Parser {
   std::size_t depth_ = 0;
 };
 
-void dump_string(std::string& out, const std::string& s) {
+}  // namespace
+
+void append_json_number(std::string& out, double d) {
+  if (!std::isfinite(d)) {
+    out.append("null");
+    return;
+  }
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, d);
+  out.append(buf, ec == std::errc() ? static_cast<std::size_t>(end - buf) : 0);
+}
+
+void append_json_count(std::string& out, std::uint64_t n) {
+  // Up to 99999 the shortest double form is the integer itself (10000 ties
+  // "1e+04" on length, and to_chars breaks ties toward fixed notation).
+  if (n >= 100000) {
+    append_json_number(out, static_cast<double>(n));
+    return;
+  }
+  char buf[8];
+  const char* end = std::to_chars(buf, buf + sizeof buf, n).ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the pending run of verbatim bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out.append("\\\""); break;
       case '\\': out.append("\\\\"); break;
@@ -223,30 +251,17 @@ void dump_string(std::string& out, const std::string& s) {
       case '\n': out.append("\\n"); break;
       case '\r': out.append("\\r"); break;
       case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out.append(buf);
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out.append("\\u00");
+        out.push_back(kHex[c >> 4]);
+        out.push_back(kHex[c & 0xF]);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
 }
-
-void dump_number(std::string& out, double d) {
-  if (!std::isfinite(d)) {
-    out.append("null");  // JSON has no Inf/NaN; null is the stand-in
-    return;
-  }
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, d);
-  out.append(buf, ec == std::errc() ? static_cast<std::size_t>(end - buf) : 0);
-}
-
-}  // namespace
 
 Json Json::parse(std::string_view text) {
   return Parser(text).parse_document();
@@ -305,8 +320,8 @@ void Json::dump_to(std::string& out) const {
     std::string& out;
     void operator()(std::nullptr_t) { out.append("null"); }
     void operator()(bool b) { out.append(b ? "true" : "false"); }
-    void operator()(double d) { dump_number(out, d); }
-    void operator()(const std::string& s) { dump_string(out, s); }
+    void operator()(double d) { append_json_number(out, d); }
+    void operator()(const std::string& s) { append_json_string(out, s); }
     void operator()(const Array& a) {
       out.push_back('[');
       for (std::size_t i = 0; i < a.size(); ++i) {
@@ -321,7 +336,7 @@ void Json::dump_to(std::string& out) const {
       for (const auto& [key, value] : o) {
         if (!first) out.push_back(',');
         first = false;
-        dump_string(out, key);
+        append_json_string(out, key);
         out.push_back(':');
         value.dump_to(out);
       }

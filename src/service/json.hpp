@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -72,8 +73,7 @@ class Json {
   std::string dump() const;
 
   /// Append the compact serialization to `out` without intermediate
-  /// strings or streams — the per-line hot path of the serve tool reuses
-  /// one response buffer across requests.
+  /// strings or streams.
   void dump_to(std::string& out) const;
 
  private:
@@ -85,5 +85,23 @@ class Json {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
       value_;
 };
+
+// The scalar formatters Json::dump_to is built on, exported so direct
+// writers (service/request.cpp's response lines) emit the same bytes a
+// Json DOM would without building one.
+
+/// Shortest round-trip form (std::to_chars); Inf and NaN print as null,
+/// since JSON has neither.
+void append_json_number(std::string& out, double d);
+
+/// Quoted string with JSON escapes; other control characters as \u00xx.
+void append_json_string(std::string& out, std::string_view s);
+
+/// A count (population, server total) in exactly the bytes
+/// append_json_number(out, double(n)) gives.  Below 100000 that is the
+/// plain integer, written by the integer formatter; from 100000 on the
+/// double formatter may pick an exponent form ("1e+05"), so those values
+/// go through it.
+void append_json_count(std::string& out, std::uint64_t n);
 
 }  // namespace mtperf::service

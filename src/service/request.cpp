@@ -1,7 +1,10 @@
 #include "service/request.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,10 +23,8 @@ core::ClosedNetwork parse_network(const Json& request) {
   for (const Json& js : request.at("stations").as_array()) {
     core::Station st;
     st.name = js.at("name").as_string();
-    const double servers = js.number_or("servers", 1.0);
-    MTPERF_REQUIRE(servers >= 1.0 && servers <= 1e6,
-                   "station servers out of range");
-    st.servers = static_cast<unsigned>(servers);
+    st.servers = parse_count(js.number_or("servers", 1.0), 1.0, 1e6,
+                             "station '" + st.name + "' servers");
     st.visits = js.number_or("visits", 1.0);
     MTPERF_REQUIRE(std::isfinite(st.visits) && st.visits >= 0.0,
                    "station visits must be finite and non-negative");
@@ -96,10 +97,9 @@ std::vector<core::CustomerClass> parse_classes(const Json& list,
     core::CustomerClass cls;
     cls.name = jc.at("name").as_string();
     MTPERF_REQUIRE(!cls.name.empty(), "customer class names must be non-empty");
-    const double population = jc.at("population").as_number();
-    MTPERF_REQUIRE(population >= 0.0 && population <= kMaxRequestPopulation,
-                   "class '" + cls.name + "' population out of range");
-    cls.population = static_cast<unsigned>(population);
+    cls.population = parse_count(jc.at("population").as_number(), 0.0,
+                                 kMaxRequestPopulation,
+                                 "class '" + cls.name + "' population");
     cls.think_time = jc.number_or("think", 0.0);
     MTPERF_REQUIRE(
         std::isfinite(cls.think_time) && cls.think_time >= 0.0,
@@ -169,15 +169,98 @@ core::ScenarioSpec parse_scenario(const Json& request) {
       parse_demands(request.at("demands"), network.size());
   options.solver =
       core::parse_solver_kind(request.string_or("solver", "mvasd"));
-  const double population = request.at("max_population").as_number();
-  MTPERF_REQUIRE(population >= 1.0 && population <= kMaxRequestPopulation,
-                 "max_population out of range");
-  options.max_population = static_cast<unsigned>(population);
+  options.max_population =
+      parse_count(request.at("max_population").as_number(), 1.0,
+                  kMaxRequestPopulation, "max_population");
   return core::ScenarioSpec{request.string_or("label", ""),
                             std::move(network), std::move(demands), options};
 }
 
+/// Station and class names key the response's "utilization" and "classes"
+/// objects, so a repeated name would silently drop one station's (or
+/// class's) numbers from the answer.
+template <typename Named>
+void require_unique_names(const std::vector<Named>& items, const char* what) {
+  std::vector<std::string_view> names;
+  names.reserve(items.size());
+  for (const Named& item : items) names.emplace_back(item.name);
+  std::sort(names.begin(), names.end());
+  const auto dup = std::adjacent_find(names.begin(), names.end());
+  if (dup != names.end()) {
+    throw invalid_argument_error(std::string("duplicate ") + what +
+                                 " name '" + std::string(*dup) + "'");
+  }
+}
+
+void require_unique_names(const core::ScenarioSpec& spec) {
+  require_unique_names(spec.network.stations(), "station");
+  require_unique_names(spec.options.classes, "customer class");
+}
+
+/// ,"key": — the start of any member but an object's first.  The keys
+/// are the protocol's own field names, which need no escaping.
+void append_key(std::string& out, std::string_view key) {
+  out.append(",\"");
+  out.append(key);
+  out.append("\":");
+}
+
+void append_bool(std::string& out, bool b) {
+  out.append(b ? "true" : "false");
+}
+
+/// ,"key":[...] — a population series as counts, the others as numbers.
+template <typename T>
+void append_series(std::string& out, std::string_view key,
+                   const std::vector<T>& values) {
+  append_key(out, key);
+  out.push_back('[');
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out.push_back(',');
+    if constexpr (std::is_floating_point_v<T>) {
+      append_json_number(out, values[i]);
+    } else {
+      append_json_count(out, values[i]);
+    }
+  }
+  out.push_back(']');
+}
+
+/// Indices of `names` in key order with the last of any repeated name
+/// kept — the members a std::map<std::string, Json> built by assigning in
+/// index order would hold.
+void sorted_unique_keys(const std::vector<std::string>& names,
+                        std::vector<std::size_t>& order) {
+  order.resize(names.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return names[a] < names[b];
+                   });
+  const auto last_of_run = [&](std::size_t i) {
+    return i + 1 == order.size() || names[order[i]] != names[order[i + 1]];
+  };
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (last_of_run(i)) order[kept++] = order[i];
+  }
+  order.resize(kept);
+}
+
 }  // namespace
+
+unsigned parse_count(double value, double lo, double hi,
+                     const std::string& field) {
+  if (!(value >= lo && value <= hi)) {
+    throw invalid_argument_error(field + " out of range");
+  }
+  if (value != std::floor(value)) {
+    std::string message = field + " must be a whole number, got ";
+    append_json_number(message, value);
+    throw invalid_argument_error(message);
+  }
+  return static_cast<unsigned>(value);
+}
 
 Json recover_request_id(std::string_view line) {
   try {
@@ -205,6 +288,7 @@ ParsedRequest parse_request(std::string_view line) {
     out.kind = RequestKind::kScenario;
     out.series = request.contains("series") && request.at("series").as_bool();
     out.spec = workmodel_scenario(request);
+    require_unique_names(out.spec);
     return out;
   }
   MTPERF_REQUIRE(
@@ -213,69 +297,97 @@ ParsedRequest parse_request(std::string_view line) {
   out.kind = RequestKind::kScenario;
   out.series = request.contains("series") && request.at("series").as_bool();
   out.spec = parse_scenario(request);
+  require_unique_names(out.spec);
   return out;
 }
+
+// The two per-response writers emit members in the byte order of their
+// keys, the order a Json::Object (a std::map) dumps in, so the lines match
+// what the Json DOM would print for the same fields; the parity test in
+// tests/test_serve_pipeline.cpp holds them to that.
 
 void append_evaluation(std::string& out, const Evaluation& evaluation,
                        bool series, const Json& id) {
   const core::MvaResult& r = *evaluation.result;
   const std::size_t top = r.levels() - 1;
-  Json::Object line;
-  line["label"] = evaluation.label;
-  if (!id.is_null()) line["id"] = id;
-  line["cache_hit"] = evaluation.cache_hit;
-  line["prefix_hit"] = evaluation.prefix_hit;
-  if (evaluation.coalesced) line["coalesced"] = true;
-  line["solve_ms"] = evaluation.solve_ms;
-  line["max_population"] = static_cast<unsigned long long>(r.population[top]);
-  line["throughput"] = r.throughput[top];
-  line["response_time"] = r.response_time[top];
-  line["cycle_time"] = r.cycle_time[top];
   std::size_t busiest = 0;
-  Json::Object utilization;
   for (std::size_t k = 0; k < r.stations(); ++k) {
-    utilization[r.station_names[k]] = r.utilization(top, k);
     if (r.utilization(top, k) > r.utilization(top, busiest)) busiest = k;
   }
-  line["bottleneck"] = r.station_names[busiest];
-  line["utilization"] = std::move(utilization);
+  std::vector<std::size_t> order;
+
+  out.append("{\"bottleneck\":");
+  append_json_string(out, r.station_names[busiest]);
+  append_key(out, "cache_hit");
+  append_bool(out, evaluation.cache_hit);
   if (r.classes() > 0) {
-    Json::Object classes;
-    for (std::size_t c = 0; c < r.classes(); ++c) {
-      Json::Object jc;
-      jc["population"] =
-          static_cast<unsigned long long>(r.class_population[c]);
-      jc["throughput"] = r.class_x(top, c);
-      jc["response_time"] = r.class_r(top, c);
-      classes[r.class_names[c]] = Json(std::move(jc));
+    append_key(out, "classes");
+    out.push_back('{');
+    sorted_unique_keys(r.class_names, order);
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      const std::size_t c = order[j];
+      if (j != 0) out.push_back(',');
+      append_json_string(out, r.class_names[c]);
+      out.append(":{\"population\":");
+      append_json_count(out, r.class_population[c]);
+      append_key(out, "response_time");
+      append_json_number(out, r.class_r(top, c));
+      append_key(out, "throughput");
+      append_json_number(out, r.class_x(top, c));
+      out.push_back('}');
     }
-    line["classes"] = std::move(classes);
+    out.push_back('}');
   }
-  if (series) {
-    Json::Array population, throughput, cycle;
-    for (std::size_t i = 0; i < r.levels(); ++i) {
-      population.emplace_back(static_cast<unsigned long long>(r.population[i]));
-      throughput.emplace_back(r.throughput[i]);
-      cycle.emplace_back(r.cycle_time[i]);
-    }
-    line["population"] = std::move(population);
-    line["throughput_series"] = std::move(throughput);
-    line["cycle_time_series"] = std::move(cycle);
+  if (evaluation.coalesced) {
+    append_key(out, "coalesced");
+    append_bool(out, true);
   }
-  Json(std::move(line)).dump_to(out);
-  out.push_back('\n');
+  append_key(out, "cycle_time");
+  append_json_number(out, r.cycle_time[top]);
+  if (series) append_series(out, "cycle_time_series", r.cycle_time);
+  if (!id.is_null()) {
+    append_key(out, "id");
+    id.dump_to(out);
+  }
+  append_key(out, "label");
+  append_json_string(out, evaluation.label);
+  append_key(out, "max_population");
+  append_json_count(out, r.population[top]);
+  if (series) append_series(out, "population", r.population);
+  append_key(out, "prefix_hit");
+  append_bool(out, evaluation.prefix_hit);
+  append_key(out, "response_time");
+  append_json_number(out, r.response_time[top]);
+  append_key(out, "solve_ms");
+  append_json_number(out, evaluation.solve_ms);
+  append_key(out, "throughput");
+  append_json_number(out, r.throughput[top]);
+  if (series) append_series(out, "throughput_series", r.throughput);
+  append_key(out, "utilization");
+  out.push_back('{');
+  sorted_unique_keys(r.station_names, order);
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    if (j != 0) out.push_back(',');
+    append_json_string(out, r.station_names[order[j]]);
+    out.push_back(':');
+    append_json_number(out, r.utilization(top, order[j]));
+  }
+  out.append("}}\n");
 }
 
 void append_error(std::string& out, const std::string& message,
                   const Json& id, std::size_t line_number) {
-  Json::Object line;
-  if (line_number != 0) {
-    line["line"] = static_cast<unsigned long long>(line_number);
+  out.append("{\"error\":");
+  append_json_string(out, message);
+  if (!id.is_null()) {
+    append_key(out, "id");
+    id.dump_to(out);
   }
-  if (!id.is_null()) line["id"] = id;
-  line["error"] = message;
-  Json(std::move(line)).dump_to(out);
-  out.push_back('\n');
+  if (line_number != 0) {
+    append_key(out, "line");
+    append_json_count(out, line_number);
+  }
+  out.append("}\n");
 }
 
 void append_metrics(std::string& out, const EngineMetrics& m,

@@ -31,11 +31,20 @@
 //            | {"error": "...", "id": 17}
 //            | {"metrics": {...}, "server": {...}}
 //
-// The optional "id" is echoed verbatim on the matching response (results
-// may return out of request order on the socket transport, where requests
-// from many connections are micro-batched together).  All serialization
-// appends to caller-owned buffers (Json::dump_to) so per-line allocation
-// churn stays off the hot path.
+// The optional "id" comes back on the matching response (results may
+// return out of request order on the socket transport, where requests
+// from many connections are micro-batched together).  It is the same JSON
+// value, not the same bytes: ids are parsed and re-serialized, so numbers
+// come back in shortest round-trip form ("1.50" as 1.5, "1e2" as 100) and
+// integers are exact only up to 2^53 (9007199254740993 comes back as
+// 9007199254740992).  Strings, objects and arrays round-trip by value.
+//
+// Result and error lines are written straight into caller-owned buffers,
+// member by member in key order, without building a Json value (the
+// serve path's per-response cost is dominated by this serialization);
+// numbers and strings go through the same formatters as Json::dump_to,
+// so the bytes equal what dumping the equivalent Json object would give.
+// The metrics line, a cold path, is built as a Json object.
 #pragma once
 
 #include <cstddef>
@@ -67,10 +76,18 @@ struct ParsedRequest {
 inline constexpr unsigned kMaxRequestPopulation = 1'000'000;
 
 /// Parse one request line.  Throws mtperf::Error (with a stable "mtperf: "
-/// prefix) on malformed JSON, schema violations, unknown solvers, or
+/// prefix) on malformed JSON, schema violations (including fractional
+/// counts and repeated station or class names), unknown solvers, or
 /// out-of-range populations; the caller answers with append_error and
 /// keeps serving.
 ParsedRequest parse_request(std::string_view line);
+
+/// A count field ("servers", "max_population", a class "population", ...)
+/// as unsigned.  Throws mtperf::Error naming `field` unless `value` is a
+/// whole number in [lo, hi]: "servers": 2.7 is rejected, not solved with
+/// 2 servers.
+unsigned parse_count(double value, double lo, double hi,
+                     const std::string& field);
 
 /// Best-effort id recovery for error responses: when parse_request threw
 /// after the line proved to be valid JSON (schema violation), the "id" is

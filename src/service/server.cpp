@@ -32,6 +32,23 @@ struct Server::Pending {
   Json id;
 };
 
+/// One connection's responses within a flush.  Each batcher keeps its
+/// buffers across flushes, so steady-state flushes write into strings
+/// that have already grown to size.
+struct Server::ConnectionBuffer {
+  Connection* conn = nullptr;
+  std::string bytes;
+  std::uint64_t lines = 0;
+};
+
+namespace {
+
+/// A buffer that grew past this (a very deep series answer) gives its
+/// memory back instead of holding it for the server's lifetime.
+constexpr std::size_t kMaxRetainedResponseBytes = std::size_t{4} << 20;
+
+}  // namespace
+
 Server::Server(ServerOptions options) : options_(std::move(options)) {
   MTPERF_REQUIRE(options_.max_batch >= 1, "server needs max_batch >= 1");
   MTPERF_REQUIRE(options_.queue_capacity >= 1,
@@ -207,6 +224,7 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
 void Server::batcher_loop() {
   std::vector<Pending> batch;
   batch.reserve(options_.max_batch);
+  std::vector<ConnectionBuffer> buffers;
   Pending first;
   while (queue_->pop(first)) {
     batch.clear();
@@ -225,23 +243,24 @@ void Server::batcher_loop() {
     } else {
       flush_by_deadline_.fetch_add(1, std::memory_order_relaxed);
     }
-    flush_batch(batch);
+    flush_batch(batch, buffers);
   }
 }
 
-void Server::flush_batch(std::vector<Pending>& batch) {
+void Server::flush_batch(std::vector<Pending>& batch,
+                         std::vector<ConnectionBuffer>& buffers) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   std::vector<core::ScenarioSpec> specs;
   specs.reserve(batch.size());
-  for (const Pending& p : batch) specs.push_back(p.spec);
+  for (Pending& p : batch) specs.push_back(std::move(p.spec));
 
-  std::string out;
   std::vector<Evaluation> evaluations;
   try {
     evaluations = engine_->evaluate_batch(specs);
   } catch (const std::exception& e) {
     // The engine settles per-spec failures internally; reaching here means
     // the whole batch failed.  Answer every request so no client hangs.
+    std::string out;
     for (Pending& p : batch) {
       out.clear();
       append_error(out, e.what(), p.id);
@@ -252,21 +271,29 @@ void Server::flush_batch(std::vector<Pending>& batch) {
   }
   // Group the batch's responses by connection: one buffered send per
   // connection per flush instead of one write syscall per request.
-  std::vector<std::pair<Connection*, std::pair<std::string, std::uint64_t>>>
-      buffers;
+  // buffers[0, used) hold this flush; the rest keep their capacity.
+  std::size_t used = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Pending& p = batch[i];
     Connection* c = p.conn.get();
-    auto it = std::find_if(buffers.begin(), buffers.end(),
-                           [c](const auto& e) { return e.first == c; });
-    if (it == buffers.end()) {
-      buffers.emplace_back(c, std::make_pair(std::string(), std::uint64_t{0}));
-      it = buffers.end() - 1;
+    auto buf = std::find_if(buffers.begin(), buffers.begin() + used,
+                            [c](const auto& b) { return b.conn == c; });
+    if (buf == buffers.begin() + used) {
+      if (used == buffers.size()) buffers.emplace_back();
+      buf = buffers.begin() + used++;
+      buf->conn = c;
+      buf->bytes.clear();
+      buf->lines = 0;
     }
-    append_evaluation(it->second.first, evaluations[i], p.series, p.id);
-    ++it->second.second;
+    append_evaluation(buf->bytes, evaluations[i], p.series, p.id);
+    ++buf->lines;
   }
-  for (auto& [conn, buf] : buffers) respond(*conn, buf.first, buf.second);
+  for (std::size_t b = 0; b < used; ++b) {
+    respond(*buffers[b].conn, buffers[b].bytes, buffers[b].lines);
+    if (buffers[b].bytes.capacity() > kMaxRetainedResponseBytes) {
+      std::string().swap(buffers[b].bytes);
+    }
+  }
   for (Pending& p : batch) {
     p.conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
   }

@@ -106,11 +106,13 @@ class Server final {
  private:
   struct Connection;
   struct Pending;
+  struct ConnectionBuffer;
 
   void accept_loop();
   void reader_loop(std::shared_ptr<Connection> conn);
   void batcher_loop();
-  void flush_batch(std::vector<Pending>& batch);
+  void flush_batch(std::vector<Pending>& batch,
+                   std::vector<ConnectionBuffer>& buffers);
   void respond(Connection& conn, std::string_view data,
                std::uint64_t lines = 1);
 

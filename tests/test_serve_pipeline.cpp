@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,6 +201,17 @@ TEST(RequestParsing, SchemaViolationsThrow) {
       "{\"stations\":[{\"name\":\"a\"}],"
       "\"demands\":{\"type\":\"constant\",\"values\":[0.1]},"
       "\"solver\":\"quantum\",\"max_population\":10}",
+      // two stations named alike: one would vanish from "utilization"
+      "{\"stations\":[{\"name\":\"db\"},{\"name\":\"db\"}],"
+      "\"demands\":{\"type\":\"constant\",\"values\":[0.1,0.2]},"
+      "\"max_population\":10}",
+      // fractional servers / population would be truncated
+      "{\"stations\":[{\"name\":\"a\",\"servers\":2.7}],"
+      "\"demands\":{\"type\":\"constant\",\"values\":[0.1]},"
+      "\"max_population\":10}",
+      "{\"stations\":[{\"name\":\"a\"}],"
+      "\"demands\":{\"type\":\"constant\",\"values\":[0.1]},"
+      "\"max_population\":4.9}",
   };
   for (const char* line : bad) {
     EXPECT_THROW(service::parse_request(line), std::exception)
@@ -268,6 +282,15 @@ TEST(RequestParsing, HostileClassesInputsThrow) {
       "{\"stations\":[{\"name\":\"cpu\"},{\"name\":\"disk\"}],"
       "\"classes\":[{\"name\":\"a\",\"population\":5,"
       "\"demands\":[-0.1,0.2]}]}",
+      // two classes named alike: one would vanish from "classes"
+      "{\"stations\":[{\"name\":\"cpu\"},{\"name\":\"disk\"}],"
+      "\"classes\":[{\"name\":\"a\",\"population\":5,"
+      "\"demands\":[0.1,0.2]},{\"name\":\"a\",\"population\":3,"
+      "\"demands\":[0.2,0.1]}]}",
+      // fractional class population
+      "{\"stations\":[{\"name\":\"cpu\"},{\"name\":\"disk\"}],"
+      "\"classes\":[{\"name\":\"a\",\"population\":2.5,"
+      "\"demands\":[0.1,0.2]}]}",
       // spline demand object with one row for two stations
       "{\"stations\":[{\"name\":\"cpu\"},{\"name\":\"disk\"}],"
       "\"solver\":\"exact-multiclass\","
@@ -282,13 +305,15 @@ TEST(RequestParsing, HostileClassesInputsThrow) {
 }
 
 TEST(RequestParsing, DuplicateClassNamesAreRejectedAtSolveTime) {
-  // Structurally the line is fine, so parsing succeeds; the solver's mix
-  // validation rejects it with the stable error prefix.
-  const auto parsed = service::parse_request(
+  // parse_request refuses repeated class names (see
+  // DuplicateNamesAreRejectedAtParseTime); a spec built in code reaches
+  // the solver, whose mix validation rejects it with the stable prefix.
+  auto parsed = service::parse_request(
       "{\"stations\":[{\"name\":\"cpu\"},{\"name\":\"disk\"}],"
       "\"classes\":[{\"name\":\"a\",\"population\":5,"
-      "\"demands\":[0.1,0.2]},{\"name\":\"a\",\"population\":3,"
+      "\"demands\":[0.1,0.2]},{\"name\":\"b\",\"population\":3,"
       "\"demands\":[0.2,0.1]}]}");
+  parsed.spec.options.classes[1].name = "a";
   service::Engine engine;
   try {
     (void)engine.evaluate(parsed.spec);
@@ -299,6 +324,88 @@ TEST(RequestParsing, DuplicateClassNamesAreRejectedAtSolveTime) {
     EXPECT_NE(what.find("duplicate customer class name"), std::string::npos)
         << what;
   }
+}
+
+/// parse_request's error message for `line` ("" when it parses).
+std::string parse_error(const std::string& line) {
+  try {
+    (void)service::parse_request(line);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RequestParsing, DuplicateNamesAreRejectedAtParseTime) {
+  const std::string two_stations =
+      "\"stations\":[{\"name\":\"cpu\"},{\"name\":\"disk\"}],";
+  const struct {
+    std::string line;
+    const char* message;
+  } cases[] = {
+      {"{\"stations\":[{\"name\":\"db\"},{\"name\":\"web\"},"
+       "{\"name\":\"db\"}],"
+       "\"demands\":{\"type\":\"constant\",\"values\":[0.1,0.2,0.3]},"
+       "\"max_population\":10}",
+       "mtperf: duplicate station name 'db'"},
+      // Round-robin replicas of "db" compile to stations db#0 and db#1,
+      // so a service literally named "db#1" collides with one of them.
+      {"{\"cmd\":\"workmodel\",\"entry\":\"db\",\"max_population\":10,"
+       "\"services\":{\"db\":{\"demand\":0.01,\"replicas\":2,"
+       "\"balancer\":\"round-robin\",\"calls\":[{\"to\":\"db#1\"}]},"
+       "\"db#1\":{\"demand\":0.02}}}",
+       "mtperf: duplicate station name 'db#1'"},
+      {"{" + two_stations +
+           "\"classes\":[{\"name\":\"a\",\"population\":5,"
+           "\"demands\":[0.1,0.2]},{\"name\":\"a\",\"population\":3,"
+           "\"demands\":[0.2,0.1]}]}",
+       "mtperf: duplicate customer class name 'a'"},
+      {"{\"cmd\":\"workmodel\",\"entry\":\"web\",\"services\":{"
+       "\"web\":{\"demand\":0.01}},\"classes\":[{\"name\":\"a\","
+       "\"population\":4},{\"name\":\"a\",\"population\":2}]}",
+       "mtperf: duplicate customer class name 'a'"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(parse_error(c.line), c.message) << c.line;
+  }
+}
+
+TEST(RequestParsing, FractionalCountsAreRejected) {
+  const std::string constant =
+      "\"demands\":{\"type\":\"constant\",\"values\":[0.1]}";
+  const struct {
+    std::string line;
+    const char* message;
+  } cases[] = {
+      {"{\"stations\":[{\"name\":\"a\",\"servers\":2.7}]," + constant +
+           ",\"max_population\":10}",
+       "mtperf: station 'a' servers must be a whole number, got 2.7"},
+      {"{\"stations\":[{\"name\":\"a\"}]," + constant +
+           ",\"max_population\":4.9}",
+       "mtperf: max_population must be a whole number, got 4.9"},
+      {"{\"stations\":[{\"name\":\"a\"}],\"classes\":[{\"name\":\"c\","
+       "\"population\":1.5,\"demands\":[0.1]}]}",
+       "mtperf: class 'c' population must be a whole number, got 1.5"},
+      {"{\"cmd\":\"workmodel\",\"entry\":\"web\",\"max_population\":10,"
+       "\"services\":{\"web\":{\"demand\":0.01,\"servers\":1.5}}}",
+       "mtperf: service 'web': servers must be a whole number, got 1.5"},
+      {"{\"cmd\":\"workmodel\",\"entry\":\"web\",\"max_population\":10.5,"
+       "\"services\":{\"web\":{\"demand\":0.01}}}",
+       "mtperf: max_population must be a whole number, got 10.5"},
+      {"{\"cmd\":\"workmodel\",\"entry\":\"web\",\"services\":{"
+       "\"web\":{\"demand\":0.01}},\"classes\":[{\"name\":\"c\","
+       "\"population\":0.5}]}",
+       "mtperf: class 'c' population must be a whole number, got 0.5"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(parse_error(c.line), c.message) << c.line;
+  }
+  // Whole numbers in any JSON spelling still parse.
+  const auto parsed = service::parse_request(
+      "{\"stations\":[{\"name\":\"a\",\"servers\":2.0}]," + constant +
+      ",\"max_population\":1e2}");
+  EXPECT_EQ(parsed.spec.network.stations()[0].servers, 2u);
+  EXPECT_EQ(parsed.spec.options.max_population, 100u);
 }
 
 TEST(RequestParsing, ZeroPopulationClassAmongNonZeroIsServed) {
@@ -388,6 +495,216 @@ TEST(Json, DumpToMatchesDump) {
   std::string appended = "prefix:";
   parsed.dump_to(appended);
   EXPECT_EQ(appended, "prefix:" + parsed.dump());
+}
+
+// --- response writer parity ------------------------------------------------
+
+// The response lines as a Json DOM prints them: the object model the
+// direct writers in service/request.cpp must reproduce byte for byte.
+std::string dom_evaluation(const service::Evaluation& evaluation, bool series,
+                           const Json& id) {
+  const core::MvaResult& r = *evaluation.result;
+  const std::size_t top = r.levels() - 1;
+  Json::Object line;
+  line["label"] = evaluation.label;
+  if (!id.is_null()) line["id"] = id;
+  line["cache_hit"] = evaluation.cache_hit;
+  line["prefix_hit"] = evaluation.prefix_hit;
+  if (evaluation.coalesced) line["coalesced"] = true;
+  line["solve_ms"] = evaluation.solve_ms;
+  line["max_population"] = static_cast<unsigned long long>(r.population[top]);
+  line["throughput"] = r.throughput[top];
+  line["response_time"] = r.response_time[top];
+  line["cycle_time"] = r.cycle_time[top];
+  std::size_t busiest = 0;
+  Json::Object utilization;
+  for (std::size_t k = 0; k < r.stations(); ++k) {
+    utilization[r.station_names[k]] = r.utilization(top, k);
+    if (r.utilization(top, k) > r.utilization(top, busiest)) busiest = k;
+  }
+  line["bottleneck"] = r.station_names[busiest];
+  line["utilization"] = std::move(utilization);
+  if (r.classes() > 0) {
+    Json::Object classes;
+    for (std::size_t c = 0; c < r.classes(); ++c) {
+      Json::Object jc;
+      jc["population"] =
+          static_cast<unsigned long long>(r.class_population[c]);
+      jc["throughput"] = r.class_x(top, c);
+      jc["response_time"] = r.class_r(top, c);
+      classes[r.class_names[c]] = Json(std::move(jc));
+    }
+    line["classes"] = std::move(classes);
+  }
+  if (series) {
+    Json::Array population, throughput, cycle;
+    for (std::size_t i = 0; i < r.levels(); ++i) {
+      population.emplace_back(static_cast<unsigned long long>(r.population[i]));
+      throughput.emplace_back(r.throughput[i]);
+      cycle.emplace_back(r.cycle_time[i]);
+    }
+    line["population"] = std::move(population);
+    line["throughput_series"] = std::move(throughput);
+    line["cycle_time_series"] = std::move(cycle);
+  }
+  return Json(std::move(line)).dump() + "\n";
+}
+
+std::string dom_error(const std::string& message, const Json& id,
+                      std::size_t line_number) {
+  Json::Object line;
+  if (line_number != 0) {
+    line["line"] = static_cast<unsigned long long>(line_number);
+  }
+  if (!id.is_null()) line["id"] = id;
+  line["error"] = message;
+  return Json(std::move(line)).dump() + "\n";
+}
+
+/// A result built by hand, for values no solver produces: non-finite
+/// numbers, populations past 100000, names that need escaping.
+std::shared_ptr<const core::MvaResult> hand_result(
+    std::vector<std::string> stations, std::vector<unsigned> populations,
+    std::vector<std::string> classes = {}) {
+  auto r = std::make_shared<core::MvaResult>();
+  const std::size_t levels = populations.size();
+  const std::size_t stride = stations.size();
+  r->reset(std::move(stations), levels);
+  r->population = std::move(populations);
+  const double specials[] = {0.25, std::nan(""), HUGE_VAL, -HUGE_VAL, -0.0,
+                             1e-300, 6.02e23, 1.0 / 3.0};
+  std::size_t next = 0;
+  const auto pick = [&] { return specials[next++ % std::size(specials)]; };
+  for (std::size_t i = 0; i < levels; ++i) {
+    r->throughput[i] = pick();
+    r->response_time[i] = pick();
+    r->cycle_time[i] = pick();
+    for (std::size_t k = 0; k < stride; ++k) {
+      r->station_utilization[i * stride + k] = 0.1 * static_cast<double>(k);
+    }
+  }
+  if (!classes.empty()) {
+    std::vector<unsigned> class_populations;
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      class_populations.push_back(99990u + 5u * static_cast<unsigned>(c));
+    }
+    r->reset_classes(std::move(classes), std::move(class_populations));
+    for (double& x : r->class_throughput) x = pick();
+    for (double& x : r->class_response_time) x = pick();
+  }
+  return r;
+}
+
+TEST(ResponseWriter, EvaluationBytesMatchTheJsonDom) {
+  std::vector<service::Evaluation> evaluations;
+  service::Engine engine;
+  // Solver output: single class (a cold solve, then a prefix hit of it),
+  // and a three-class mix, whose response carries "classes".  Each is
+  // also written as a coalesced answer below.
+  evaluations.push_back(engine.evaluate(make_spec(1.0, 60)));
+  evaluations.push_back(engine.evaluate(make_spec(1.0, 45)));
+  const auto mix = service::parse_request(
+      "{\"label\":\"mix\",\"stations\":[{\"name\":\"cpu\"},"
+      "{\"name\":\"net\",\"kind\":\"delay\"}],"
+      "\"solver\":\"exact-multiclass\",\"classes\":["
+      "{\"name\":\"search\",\"population\":4,\"think\":1.0,"
+      "\"demands\":[0.006,0.015]},"
+      "{\"name\":\"browse\",\"population\":6,\"think\":1.0,"
+      "\"demands\":[0.004,0.020]},"
+      "{\"name\":\"buy\",\"population\":0,\"demands\":[0.002,0.030]}]}");
+  evaluations.push_back(engine.evaluate(mix.spec));
+  // Hand-built: non-finite values, counts on both sides of 100000 (where
+  // the double formatter switches to "1e+05"), escapes and control
+  // characters in names, a repeated station name (the DOM keeps the last).
+  service::Evaluation odd;
+  odd.label = "quote\" back\\slash \t\n\x01\x1f \xc3\xa9 </x>";
+  odd.solve_ms = 12.5;
+  odd.result = hand_result(
+      {"b\"q", "a\\b", "ctl\x02", "db", "tab\tnl\n", "db", "Z", "\x7f"},
+      {1, 9999, 10000, 99999, 100000, 120000, 1000000, 4294967295u},
+      {"z", "\x1b[0m", "A", "m\"x"});
+  evaluations.push_back(odd);
+  service::Evaluation lone = odd;
+  lone.result = hand_result({"only"}, {100000});
+  evaluations.push_back(lone);
+
+  const Json ids[] = {
+      Json(),
+      Json(17),
+      Json(-2.5),
+      Json(9007199254740993ull),
+      Json("req-\"7\"\n"),
+      Json::parse("{\"b\":[1,true,null],\"a\":{\"x\":\"y\"}}"),
+  };
+  std::string out;
+  for (service::Evaluation evaluation : evaluations) {
+    for (const bool coalesced : {false, true}) {
+      evaluation.coalesced = coalesced;
+      for (const bool series : {false, true}) {
+        for (const Json& id : ids) {
+          out.clear();
+          service::append_evaluation(out, evaluation, series, id);
+          EXPECT_EQ(out, dom_evaluation(evaluation, series, id))
+              << "label " << evaluation.label << " coalesced " << coalesced
+              << " series " << series << " id " << id.dump();
+        }
+      }
+    }
+  }
+  // Appending continues an existing buffer rather than replacing it.
+  out = "prefix\n";
+  service::append_evaluation(out, evaluations[0], true, Json(1));
+  EXPECT_EQ(out, "prefix\n" + dom_evaluation(evaluations[0], true, Json(1)));
+}
+
+TEST(ResponseWriter, ErrorBytesMatchTheJsonDom) {
+  const std::string messages[] = {
+      "overloaded",
+      "mtperf: requirement failed: (x) at a.cpp:1 \xe2\x80\x94 \"q\"\n\t\x05",
+      "",
+  };
+  const Json ids[] = {Json(), Json(3), Json("id"), Json::parse("[1,{}]")};
+  std::string out;
+  for (const std::string& message : messages) {
+    for (const Json& id : ids) {
+      for (const std::size_t line : {std::size_t{0}, std::size_t{1},
+                                     std::size_t{100000}}) {
+        out.clear();
+        service::append_error(out, message, id, line);
+        EXPECT_EQ(out, dom_error(message, id, line))
+            << message << " id " << id.dump() << " line " << line;
+      }
+    }
+  }
+}
+
+TEST(ResponseWriter, ScalarFormattersKeepTheirBytes) {
+  // The DOM and the writer share these, so the parity tests above cannot
+  // see a change in them; pin the bytes directly.
+  std::string text;
+  service::append_json_string(text, "a\"\\/\b\f\n\r\t\x01\x1f\x7f\xc3\xa9");
+  EXPECT_EQ(text,
+            "\"a\\\"\\\\/\\b\\f\\n\\r\\t\\u0001\\u001f\x7f\xc3\xa9\"");
+  std::string numbers;
+  for (const double d : {0.1, -2.5, 1e21, 1e-7, 100000.0, HUGE_VAL,
+                         std::nan("")}) {
+    service::append_json_number(numbers, d);
+    numbers.push_back(' ');
+  }
+  EXPECT_EQ(numbers, "0.1 -2.5 1e+21 1e-07 1e+05 null null ");
+
+  for (const std::uint64_t n :
+       {0ull, 1ull, 9ull, 10ull, 99ull, 1000ull, 9999ull, 10000ull, 12345ull,
+        99999ull, 100000ull, 100001ull, 120000ull, 1000000ull, 4294967295ull,
+        9007199254740993ull}) {
+    std::string count, number;
+    service::append_json_count(count, n);
+    service::append_json_number(number, static_cast<double>(n));
+    EXPECT_EQ(count, number) << n;
+  }
+  std::string big;
+  service::append_json_count(big, 100000);
+  EXPECT_EQ(big, "1e+05");
 }
 
 // --- single-flight dedup ---------------------------------------------------
