@@ -1,8 +1,8 @@
 // Method-of-Moments multiclass solver vs the seed exact recursion.
 //
 // Part 1 — growing mixes: three customer classes over a cpu+disk pair,
-// per-class population doubling from 8 to 128.  The seed
-// exact_mva_multiclass walks the full population-vector lattice
+// per-class population doubling from 8 to 128.  The seed exact recursion
+// (SolverKind::kExactMulticlass) walks the full population-vector lattice
 // (prod_c (N_c+1) states), so its cost explodes with the mix; MoM runs the
 // RECAL moment recursion whose state count depends only on the number of
 // queueing stations.  Both are exact, so every feasible mix doubles as a
@@ -66,10 +66,11 @@ double min_over_reps(int reps, const std::function<void()>& body) {
   return best;
 }
 
-core::MvaResult solve_mom(const core::ClosedNetwork& network,
+core::MvaResult solve_mix(core::SolverKind kind,
+                          const core::ClosedNetwork& network,
                           std::vector<core::CustomerClass> classes) {
   core::SolveOptions options;
-  options.solver = core::SolverKind::kMomMulticlass;
+  options.solver = kind;
   options.classes = std::move(classes);
   core::finalize_multiclass_options(options);
   return core::solve(network, nullptr, options);
@@ -109,20 +110,24 @@ int main() {
     const auto classes = make_mix(per_class);
     const int reps = per_class <= 32 ? 3 : 1;
 
-    core::MulticlassResult exact;
-    row.exact_ms = min_over_reps(
-        reps, [&] { exact = core::exact_mva_multiclass(network, classes); });
+    core::MvaResult exact;
+    row.exact_ms = min_over_reps(reps, [&] {
+      exact = solve_mix(core::SolverKind::kExactMulticlass, network, classes);
+    });
+    const std::size_t top = exact.levels() - 1;  // the full mix
 
     core::MvaResult mom;
-    row.mom_ms = min_over_reps(reps, [&] { mom = solve_mom(network, classes); });
+    row.mom_ms = min_over_reps(reps, [&] {
+      mom = solve_mix(core::SolverKind::kMomMulticlass, network, classes);
+    });
 
     for (std::size_t c = 0; c < classes.size(); ++c) {
-      const double x_exact = exact.class_throughput[c];
+      const double x_exact = exact.class_x(top, c);
       const double x_mom = mom.class_x(0, c);
       const double rel =
           std::abs(x_mom - x_exact) / std::max(1.0, std::abs(x_exact));
       row.max_rel_delta = std::max(row.max_rel_delta, rel);
-      const double r_exact = exact.class_response_time[c];
+      const double r_exact = exact.class_r(top, c);
       const double r_mom = mom.class_r(0, c);
       row.max_rel_delta =
           std::max(row.max_rel_delta,
@@ -139,12 +144,14 @@ int main() {
     const auto classes = make_mix(row.per_class);
     bool exact_refused = false;
     try {
-      (void)core::exact_mva_multiclass(network, classes);
+      (void)solve_mix(core::SolverKind::kExactMulticlass, network, classes);
     } catch (const Error&) {
       exact_refused = true;
     }
     core::MvaResult mom;
-    row.mom_ms = time_ms([&] { mom = solve_mom(network, classes); });
+    row.mom_ms = time_ms([&] {
+      mom = solve_mix(core::SolverKind::kMomMulticlass, network, classes);
+    });
     parity_ok = parity_ok && exact_refused && mom.throughput[0] > 0.0;
     rows.push_back(row);
   }

@@ -117,10 +117,6 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
   switch (options.solver) {
     case SolverKind::kExactSingleServer:
       return exact_mva(network, constant_demands(*demands, options.solver), n);
-    case SolverKind::kExactMultiserver:
-      // Algorithm 2; with a varying-demand model this is exactly
-      // Algorithm 3 (the same recursion over per-population demands).
-      return mvasd(network, *demands, n, grid);
     case SolverKind::kSchweitzer:
       return schweitzer_mva(network,
                             constant_demands(*demands, options.solver), n,
@@ -144,7 +140,10 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
       return load_dependent_mva(
           network, constant_demands(*demands, options.solver), rates, n);
     }
+    case SolverKind::kExactMultiserver:
     case SolverKind::kMvasd:
+      // Algorithm 2 is Algorithm 3 with constant demands: one recursion
+      // over per-population demands serves both names.
       return mvasd(network, *demands, n, grid);
     case SolverKind::kMvasdSingleServer:
       return mvasd_single_server(network, *demands, n, grid);

@@ -36,7 +36,7 @@ struct ScenarioSpec;  // core/sweep.hpp
 /// Which member of the MVA family evaluates the scenario.
 enum class SolverKind {
   kExactSingleServer,   ///< Algorithm 1 (exact_mva) — constant demands
-  kExactMultiserver,    ///< Algorithm 2 (exact_multiserver_mva)
+  kExactMultiserver,    ///< Algorithm 2 — the same recursion as kMvasd
   kSchweitzer,          ///< Eq. 9 fixed point (schweitzer_mva) — constant
   kApproxMultiserver,   ///< approx_multiserver_mva / approx_mvasd
   kLoadDependent,       ///< full marginal recursion (load_dependent_mva)

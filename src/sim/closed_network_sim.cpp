@@ -154,7 +154,7 @@ struct Run {
         ps_fire(ev.a, ev.payload);
         break;
       default:
-        break;  // kClosure/kTick are never scheduled by this runner
+        break;  // kTick is never scheduled by this runner
     }
   }
 
@@ -221,12 +221,19 @@ struct Run {
   void ps_fire(std::uint32_t s, double generation) {
     StationState& st = stations[s];
     if (generation != st.generation) return;  // superseded by a later arrival
-    st.accrue(eng.now());
-    st.progress(eng.now());
-    // Complete every job that has (numerically) finished.
+    const double now = eng.now();
+    st.accrue(now);
+    st.progress(now);
+    // Complete every job that has (numerically) finished: either its work
+    // is spent, or its completion delay is too small to advance the clock.
+    // The second case only arises past 2^14 s, where half an ulp of `now`
+    // exceeds 1e-12; without it such a job would be refired at `now`
+    // forever, since progress() sees no elapsed time.
+    const double rate = st.rate();
     ps_done.clear();
     for (std::size_t i = 0; i < st.jobs.size();) {
-      if (st.jobs[i].first <= 1e-12) {
+      const double remaining = st.jobs[i].first;
+      if (remaining <= 1e-12 || now + remaining / rate == now) {
         ps_done.push_back(st.jobs[i].second);
         st.jobs[i] = st.jobs.back();
         st.jobs.pop_back();

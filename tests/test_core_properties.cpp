@@ -210,10 +210,17 @@ TEST_P(RandomNetworks, MulticlassSplitInvariance) {
   const std::vector<CustomerClass> split{
       {"a", n / 2, net.think_time(), c.demands},
       {"b", n - n / 2, net.think_time(), c.demands}};
-  const auto one = exact_mva_multiclass(net, merged);
-  const auto two = exact_mva_multiclass(net, split);
-  EXPECT_NEAR(one.total_throughput(), two.total_throughput(),
-              1e-8 * std::max(1.0, one.total_throughput()));
+  const auto exact = [&](std::vector<CustomerClass> classes) {
+    SolveOptions options;
+    options.solver = SolverKind::kExactMulticlass;
+    options.classes = std::move(classes);
+    finalize_multiclass_options(options);
+    const MvaResult r = solve(net, nullptr, options);
+    return r.throughput[r.levels() - 1];
+  };
+  const double one = exact(merged);
+  const double two = exact(split);
+  EXPECT_NEAR(one, two, 1e-8 * std::max(1.0, one));
 }
 
 TEST_P(RandomNetworks, MulticlassSolversAgreeOnRandomSmallMixes) {

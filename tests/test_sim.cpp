@@ -14,8 +14,6 @@
 #include "core/network.hpp"
 #include "sim/closed_network_sim.hpp"
 #include "sim/event_engine.hpp"
-#include "sim/simulator.hpp"
-#include "sim/station.hpp"
 
 namespace mtperf::sim {
 namespace {
@@ -69,6 +67,21 @@ TEST(EventEngine, HandlersCanRescheduleDuringDispatch) {
   EXPECT_DOUBLE_EQ(eng.now(), 100.0);
 }
 
+TEST(EventEngine, RunUntilStopsAtBoundary) {
+  EventEngine eng;
+  int fired = 0;
+  const auto count = [&](const Event&) { ++fired; };
+  eng.schedule(1.0, EventOp::kTick);
+  eng.schedule(2.5, EventOp::kTick);
+  eng.run_until(2.0, count);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(eng.pending_events(), 1u);
+  EXPECT_DOUBLE_EQ(eng.now(), 2.0);
+  eng.run_until(3.0, count);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(eng.pending_events(), 0u);
+}
+
 TEST(EventEngine, RejectsPastScheduling) {
   EventEngine eng;
   eng.run_until(5.0, [](const Event&) {});
@@ -96,144 +109,219 @@ TEST(EventEngine, HeapStressMatchesSortedReference) {
   EXPECT_EQ(seen, expected);
 }
 
-// --------------------------------------------------------------- Simulator
-
-TEST(Simulator, ProcessesEventsInTimeOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.schedule(3.0, [&] { order.push_back(3); });
-  sim.schedule(1.0, [&] { order.push_back(1); });
-  sim.schedule(2.0, [&] { order.push_back(2); });
-  sim.run_until(10.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
-}
-
-TEST(Simulator, SimultaneousEventsFifo) {
-  Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    sim.schedule(1.0, [&order, i] { order.push_back(i); });
-  }
-  sim.run_until(1.0);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Simulator, RunUntilStopsAtBoundary) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(1.0, [&] { ++fired; });
-  sim.schedule(2.5, [&] { ++fired; });
-  sim.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.run_until(3.0);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulator, EventsCanScheduleEvents) {
-  Simulator sim;
-  int chain = 0;
-  std::function<void()> next = [&] {
-    if (++chain < 5) sim.schedule(1.0, next);
-  };
-  sim.schedule(1.0, next);
-  sim.run_until(100.0);
-  EXPECT_EQ(chain, 5);
-}
-
-TEST(Simulator, RejectsPastScheduling) {
-  Simulator sim;
-  sim.run_until(5.0);
-  EXPECT_THROW(sim.schedule(-1.0, [] {}), invalid_argument_error);
-  EXPECT_THROW(sim.run_until(4.0), invalid_argument_error);
-}
-
-TEST(Simulator, StepProcessesOneEvent) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(1.0, [&] { ++fired; });
-  sim.schedule(2.0, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-}
-
 // ----------------------------------------------------------------- Station
+//
+// Station-level behaviour (FCFS here, processor sharing below) through the
+// typed runner.  Deterministic service and think times plus ramp-up
+// staggering make every arrival and completion instant a closed-form
+// number; the per-bucket timeline reads back each completion's time and
+// response time, and the station stats read back the utilization and
+// queue-length integrals.
+
+/// `customers` arrive at c * stagger and each runs one transaction: the
+/// deterministic think time outlasts every horizon used here.
+SimOptions scripted(unsigned customers, double stagger, double horizon) {
+  SimOptions o;
+  o.customers = customers;
+  o.think_time_mean = 1e6;
+  o.exponential_think = false;
+  o.ramp_up_interval = stagger;
+  o.warmup_time = 0.0;
+  o.measure_time = horizon;
+  return o;
+}
+
+SimVisit fixed_visit(std::size_t station, double service) {
+  return {station, service, {DistributionKind::kDeterministic, 0.0}};
+}
+
+/// One timeline bucket that saw completions.
+struct Departures {
+  double at = 0.0;        ///< bucket start
+  double count = 0.0;     ///< completions in the bucket
+  double response = 0.0;  ///< their mean response time
+};
+
+/// The non-empty buckets of a run recorded with `width`-second buckets.
+std::vector<Departures> departures(const SimResult& r, double width) {
+  std::vector<Departures> out;
+  for (const auto& b : r.timeline) {
+    if (b.throughput > 0.0) {
+      out.push_back({b.start_time, b.throughput * width, b.response_time});
+    }
+  }
+  return out;
+}
+
+void expect_departures(const std::vector<Departures>& got,
+                       const std::vector<Departures>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(got[i].at, want[i].at, 1e-9) << "bucket " << i;
+    EXPECT_NEAR(got[i].count, want[i].count, 1e-9) << "bucket " << i;
+    EXPECT_NEAR(got[i].response, want[i].response, 1e-9) << "bucket " << i;
+  }
+}
 
 TEST(Station, ServesImmediatelyWhenIdle) {
-  Simulator sim;
-  MultiServerStation st(sim, "cpu", 2);
-  int done = 0;
-  st.arrive(1.0, [&] { ++done; });
-  st.arrive(1.0, [&] { ++done; });
-  EXPECT_EQ(st.busy_servers(), 2u);
-  EXPECT_EQ(st.waiting_jobs(), 0u);
-  sim.run_until(1.0);
-  EXPECT_EQ(done, 2);
-  EXPECT_EQ(st.completions(), 2u);
+  // Two servers, arrivals at 0, 0.5, 1 needing 2 s each: the first two
+  // start on arrival (response = service); the third waits for the first
+  // departure at t = 2 and leaves at 4.
+  SimOptions o = scripted(3, 0.5, 5.0);
+  o.timeline_bucket = 0.5;
+  const auto r =
+      simulate_closed_network({{"cpu", 2}}, {fixed_visit(0, 2.0)}, o);
+  expect_departures(departures(r, 0.5),
+                    {{2.0, 1, 2.0}, {2.5, 1, 2.0}, {4.0, 1, 3.0}});
+  EXPECT_EQ(r.transactions, 3u);
+  EXPECT_EQ(r.stations[0].completions, 3u);
 }
 
 TEST(Station, QueuesBeyondServerCount) {
-  Simulator sim;
-  MultiServerStation st(sim, "disk", 1);
-  std::vector<double> completion_times;
-  for (int i = 0; i < 3; ++i) {
-    st.arrive(2.0, [&] { completion_times.push_back(sim.now()); });
-  }
-  EXPECT_EQ(st.waiting_jobs(), 2u);
-  sim.run_until(10.0);
-  EXPECT_EQ(completion_times,
-            (std::vector<double>{2.0, 4.0, 6.0}));  // strict FCFS
+  // One server, arrivals at 0, 0.5, 1 needing 2 s each: strict FCFS
+  // departures at 2, 4, 6 in arrival order (LIFO would give the t = 1
+  // arrival a response of 3 and the t = 0.5 one 5.5).
+  SimOptions o = scripted(3, 0.5, 8.0);
+  o.timeline_bucket = 0.5;
+  const auto r =
+      simulate_closed_network({{"disk", 1}}, {fixed_visit(0, 2.0)}, o);
+  expect_departures(departures(r, 0.5),
+                    {{2.0, 1, 2.0}, {4.0, 1, 3.5}, {6.0, 1, 5.0}});
+  EXPECT_NEAR(r.response_time, 3.5, 1e-9);
 }
 
 TEST(Station, UtilizationOfDeterministicLoad) {
-  Simulator sim;
-  MultiServerStation st(sim, "cpu", 2);
-  st.arrive(4.0, [] {});
-  st.arrive(2.0, [] {});
-  sim.run_until(8.0);
-  // Busy-server-seconds = 4 + 2 = 6 over 8 s of 2 servers -> 6/16.
-  EXPECT_NEAR(st.utilization(), 6.0 / 16.0, 1e-12);
-  EXPECT_NEAR(st.busy_time(), 6.0, 1e-12);
+  // Two servers, arrivals at 0, 1, 2 needing 3 s each (the third queues
+  // until t = 3): 9 busy-server-seconds over 8 s of 2 servers -> 9/16.
+  const auto r = simulate_closed_network({{"cpu", 2}}, {fixed_visit(0, 3.0)},
+                                         scripted(3, 1.0, 8.0));
+  EXPECT_NEAR(r.stations[0].utilization, 9.0 / 16.0, 1e-9);
+  // Jobs present: 1, 2, 3, 2, 1, 1, 0, 0 over the eight seconds.
+  EXPECT_NEAR(r.stations[0].mean_jobs, 10.0 / 8.0, 1e-9);
 }
 
 TEST(Station, MeanJobsTimeAverage) {
-  Simulator sim;
-  MultiServerStation st(sim, "cpu", 1);
-  st.arrive(2.0, [] {});  // one job for [0,2]
-  sim.run_until(4.0);
-  EXPECT_NEAR(st.mean_jobs(), 0.5, 1e-12);  // 2 job-seconds over 4 s
+  // One server, arrivals at 0, 0.5, 1 needing 2 s each: 1 job on [0, 0.5),
+  // 2 on [0.5, 1), 3 on [1, 2), 2 on [2, 4), 1 on [4, 6), none after —
+  // 10.5 job-seconds over 8 s.
+  const auto r = simulate_closed_network({{"cpu", 1}}, {fixed_visit(0, 2.0)},
+                                         scripted(3, 0.5, 8.0));
+  EXPECT_NEAR(r.stations[0].mean_jobs, 10.5 / 8.0, 1e-9);
+  EXPECT_NEAR(r.stations[0].utilization, 6.0 / 8.0, 1e-9);
 }
 
 TEST(Station, ResetStatsDropsHistoryKeepsJobs) {
-  Simulator sim;
-  MultiServerStation st(sim, "cpu", 1);
-  st.arrive(2.0, [] {});
-  st.arrive(2.0, [] {});
-  sim.run_until(1.0);
-  st.reset_stats();
-  sim.run_until(4.0);  // first job ends at 2, second at 4
-  EXPECT_EQ(st.completions(), 2u);  // both completed after reset
-  // After reset the station was busy the whole [1,4] window.
-  EXPECT_NEAR(st.utilization(), 1.0, 1e-12);
+  // One server, two jobs of 2 s arriving together; the warm-up ends at
+  // t = 1 with one in service and one queued.  Both complete in the
+  // measure window [1, 4], during which the server is never idle.
+  SimOptions o = scripted(2, 0.0, 3.0);
+  o.warmup_time = 1.0;
+  const auto r =
+      simulate_closed_network({{"cpu", 1}}, {fixed_visit(0, 2.0)}, o);
+  EXPECT_EQ(r.stations[0].completions, 2u);
+  EXPECT_EQ(r.transactions, 2u);
+  EXPECT_NEAR(r.stations[0].utilization, 1.0, 1e-9);
+  // 2 jobs on [1, 2), 1 on [2, 4): 4 job-seconds over 3 s.
+  EXPECT_NEAR(r.stations[0].mean_jobs, 4.0 / 3.0, 1e-9);
+  EXPECT_NEAR(r.response_time, (2.0 + 4.0) / 2.0, 1e-9);
 }
 
 TEST(Station, ZeroServiceTimeCompletes) {
-  Simulator sim;
-  MultiServerStation st(sim, "nic", 1);
-  bool done = false;
-  st.arrive(0.0, [&] { done = true; });
-  sim.run_until(0.0);
-  EXPECT_TRUE(done);
+  // One customer with a 1 s deterministic think cycle arrives at
+  // t = 0, 1, ..., 10; zero service means every visit completes at once.
+  for (const auto discipline :
+       {Discipline::kFcfs, Discipline::kProcessorSharing}) {
+    SimOptions o;
+    o.customers = 1;
+    o.think_time_mean = 1.0;
+    o.exponential_think = false;
+    o.warmup_time = 0.5;
+    o.measure_time = 10.0;
+    const auto r = simulate_closed_network({{"nic", 1, discipline}},
+                                           {fixed_visit(0, 0.0)}, o);
+    EXPECT_EQ(r.transactions, 10u);
+    EXPECT_EQ(r.stations[0].completions, 10u);
+    EXPECT_EQ(r.response_time, 0.0);
+    EXPECT_EQ(r.stations[0].utilization, 0.0);
+  }
 }
 
 TEST(Station, RejectsInvalidConfig) {
-  Simulator sim;
-  EXPECT_THROW(MultiServerStation(sim, "x", 0), invalid_argument_error);
-  MultiServerStation st(sim, "x", 1);
-  EXPECT_THROW(st.arrive(-1.0, [] {}), invalid_argument_error);
+  const SimOptions o = scripted(1, 0.0, 1.0);
+  EXPECT_THROW(simulate_closed_network({{"x", 0}}, {fixed_visit(0, 1.0)}, o),
+               invalid_argument_error);
+  EXPECT_THROW(simulate_closed_network({{"x", 1}}, {fixed_visit(0, -1.0)}, o),
+               invalid_argument_error);
+}
+
+// ------------------------------------------------------------ PS station
+
+std::vector<SimStation> ps_cpu(unsigned servers) {
+  return {{"cpu", servers, Discipline::kProcessorSharing}};
+}
+
+TEST(ProcessorSharing, SingleJobRunsAtFullRate) {
+  const auto r =
+      simulate_closed_network(ps_cpu(1), {fixed_visit(0, 2.0)},
+                              scripted(1, 0.0, 10.0));
+  EXPECT_EQ(r.transactions, 1u);
+  EXPECT_NEAR(r.response_time, 2.0, 1e-9);
+  EXPECT_EQ(r.stations[0].completions, 1u);
+}
+
+TEST(ProcessorSharing, TwoJobsShareCapacity) {
+  // Both jobs proceed at rate 1/2: both finish at t = 2.
+  const auto r =
+      simulate_closed_network(ps_cpu(1), {fixed_visit(0, 1.0)},
+                              scripted(2, 0.0, 10.0));
+  EXPECT_EQ(r.transactions, 2u);
+  EXPECT_NEAR(r.response_time, 2.0, 1e-9);
+  EXPECT_NEAR(r.response_percentiles.p50, 2.0, 1e-9);
+  EXPECT_NEAR(r.response_percentiles.p99, 2.0, 1e-9);
+}
+
+TEST(ProcessorSharing, ShortJobOvertakesLongJob) {
+  // Each transaction visits the cpu twice: a 1 s job, then a 4 s job.
+  // Customer 0's short job runs alone on [0, 1]; its long job starts at
+  // t = 1 and runs alone until customer 1's short job arrives at t = 1.5.
+  // Sharing at rate 1/2, the short job leaves at t = 3.5 — while the long
+  // job that entered before it is still in service (FCFS would hold the
+  // short job until t = 5).
+  const std::vector<SimVisit> flow{fixed_visit(0, 1.0), fixed_visit(0, 4.0)};
+  const auto by_4s = simulate_closed_network(ps_cpu(1), flow,
+                                             scripted(2, 1.5, 4.0));
+  EXPECT_EQ(by_4s.stations[0].completions, 2u);  // both short jobs
+  EXPECT_EQ(by_4s.transactions, 0u);             // no long job yet
+  // Customer 0's long job has 2.5 s left at t = 3.5 and shares with
+  // customer 1's long job until it leaves at t = 8.5; customer 1's long
+  // job then has 1.5 s left and leaves at t = 10.  Both transactions take
+  // 8.5 s.
+  SimOptions o = scripted(2, 1.5, 12.0);
+  o.timeline_bucket = 1.0;
+  const auto full = simulate_closed_network(ps_cpu(1), flow, o);
+  EXPECT_EQ(full.stations[0].completions, 4u);
+  expect_departures(departures(full, 1.0), {{8.0, 1, 8.5}, {10.0, 1, 8.5}});
+}
+
+TEST(ProcessorSharing, MultiServerRunsUpToCJobsAtFullSpeed) {
+  // Two jobs on two servers both run at full rate...
+  const auto two = simulate_closed_network(ps_cpu(2), {fixed_visit(0, 1.0)},
+                                           scripted(2, 0.0, 10.0));
+  EXPECT_EQ(two.transactions, 2u);
+  EXPECT_NEAR(two.response_time, 1.0, 1e-9);
+  // ...while a third shares the capacity: each runs at rate 2/3.
+  const auto three = simulate_closed_network(ps_cpu(2), {fixed_visit(0, 1.0)},
+                                             scripted(3, 0.0, 10.0));
+  EXPECT_EQ(three.transactions, 3u);
+  EXPECT_NEAR(three.response_time, 1.5, 1e-9);
+}
+
+TEST(ProcessorSharing, UtilizationAccounting) {
+  // One job for 3 s on a 2-server station: busy integral 3 of capacity 12.
+  const auto r = simulate_closed_network(ps_cpu(2), {fixed_visit(0, 3.0)},
+                                         scripted(1, 0.0, 6.0));
+  EXPECT_NEAR(r.stations[0].utilization, 0.25, 1e-9);
+  EXPECT_NEAR(r.stations[0].mean_jobs, 0.5, 1e-9);
 }
 
 // -------------------------------------------------- closed network (stats)
