@@ -50,12 +50,10 @@ int main() {
                               max_users);
   });
   timed("load-dependent exact MVA (D@140)", [&] {
-    std::vector<core::RateMultiplier> rates;
-    for (const auto& st : network.stations()) {
-      rates.push_back(core::multiserver_rate(st.servers));
-    }
-    return core::load_dependent_mva(
-        network, table.demands_at_concurrency(140.0), rates, max_users);
+    return core::load_dependent_mva(network,
+                                    table.demands_at_concurrency(140.0),
+                                    core::multiserver_profiles(network),
+                                    max_users);
   });
 
   TextTable t("Accuracy and cost per full 1..280 solve");

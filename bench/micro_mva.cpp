@@ -1,9 +1,8 @@
 // Microbenchmarks of the MVA solver family (google-benchmark).
 //
-// Documents the cost argument in DESIGN.md: Algorithm 2/3 is O(N K) while
-// the full load-dependent recursion is O(N^2 K) — the practical reason the
-// paper builds its varying-demand algorithm on the multi-server recursion
-// rather than on JMT-style load-dependent arrays.
+// Covers the solver family's cost per full 1..N solve: exact MVA,
+// Schweitzer, Algorithm 2/3 and load-dependent MVA with multi-server
+// profiles are all O(N K)-shaped (the last two O(N sum_k C_k)).
 //
 // Also carries the before/after pairs for the hot-path overhaul (tabulated
 // DemandGrid + workspace + SoA results vs the original per-(n,k) functional
@@ -27,7 +26,6 @@
 #include "core/demand_model.hpp"
 #include "core/mva_exact.hpp"
 #include "core/mva_load_dependent.hpp"
-#include "core/mva_multiserver.hpp"
 #include "core/mva_schweitzer.hpp"
 #include "core/mvasd.hpp"
 #include "core/network.hpp"
@@ -112,11 +110,11 @@ SeedStyleResult seed_style_mvasd(const core::ClosedNetwork& network,
   std::vector<double> queue(k_count, 0.0);
   std::vector<double> residence(k_count, 0.0);
   std::vector<std::vector<double>> p(k_count);
-  std::vector<std::vector<double>> p_next(k_count);
+  std::vector<std::vector<double>> p_new(k_count);
   for (std::size_t k = 0; k < k_count; ++k) {
     p[k].assign(network.station(k).servers, 0.0);
     p[k][0] = 1.0;
-    p_next[k].assign(network.station(k).servers, 0.0);
+    p_new[k].assign(network.station(k).servers, 0.0);
   }
 
   double previous_throughput = 0.0;
@@ -166,18 +164,18 @@ SeedStyleResult seed_style_mvasd(const core::ClosedNetwork& network,
         } else {
           double weighted_tail = 0.0;
           for (unsigned j = 1; j < st.servers; ++j) {
-            p_next[k][j] = xs * p[k][j - 1] / static_cast<double>(j);
-            weighted_tail += (c - static_cast<double>(j)) * p_next[k][j];
+            p_new[k][j] = xs * p[k][j - 1] / static_cast<double>(j);
+            weighted_tail += (c - static_cast<double>(j)) * p_new[k][j];
           }
           const double idle = c - xs;
           if (weighted_tail > idle && weighted_tail > 0.0) {
             const double scale = idle / weighted_tail;
-            for (unsigned j = 1; j < st.servers; ++j) p_next[k][j] *= scale;
-            p_next[k][0] = 0.0;
+            for (unsigned j = 1; j < st.servers; ++j) p_new[k][j] *= scale;
+            p_new[k][0] = 0.0;
           } else {
-            p_next[k][0] = (idle - weighted_tail) / c;
+            p_new[k][0] = (idle - weighted_tail) / c;
           }
-          std::swap(p[k], p_next[k]);
+          std::swap(p[k], p_new[k]);
         }
       }
     }
@@ -222,9 +220,9 @@ BENCHMARK(BM_SchweitzerMva)->Arg(100)->Arg(1000);
 void BM_MultiServerMva(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const auto net = make_net(12, 16);
-  const auto demands = make_demands(12);
+  const auto model = core::DemandModel::constant(make_demands(12));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::exact_multiserver_mva(net, demands, n));
+    benchmark::DoNotOptimize(core::mvasd(net, model, n));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -235,17 +233,15 @@ void BM_LoadDependentMva(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const auto net = make_net(12, 16);
   const auto demands = make_demands(12);
-  std::vector<core::RateMultiplier> rates;
-  for (std::size_t k = 0; k < 12; ++k) {
-    rates.push_back(core::multiserver_rate(k % 3 == 0 ? 16 : 1));
-  }
+  const auto profiles = core::multiserver_profiles(net);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::load_dependent_mva(net, demands, rates, n));
+    benchmark::DoNotOptimize(
+        core::load_dependent_mva(net, demands, profiles, n));
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_LoadDependentMva)->Arg(100)->Arg(500)->Arg(1500)
-    ->Complexity(benchmark::oNSquared);
+    ->Complexity(benchmark::oN);
 
 // ---------------------------------------------------------------------------
 // Before/after: grid-path MVASD vs the seed-style functional path.

@@ -4,12 +4,14 @@
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/demand_model.hpp"
+#include "core/detail/load_dependent_engine.hpp"
 
 namespace mtperf::core::detail {
 
@@ -65,28 +67,6 @@ std::vector<TierSpec> auto_tiers(const ClosedNetwork& network) {
   }
   return tiers;
 }
-
-/// One station of the reduced network in uniform truncated-support form:
-/// rate multipliers alpha(1..support), saturated at alpha(support) beyond,
-/// and explicit marginals p[0..support-1] (occupancy 0..support-1).  Mass
-/// at or beyond the truncation point is never stored: the recursion only
-/// reads the marginals through correction weights that vanish there, and
-/// the queue carries over exactly via Little's law.
-struct ReducedUnit {
-  bool is_tier = false;
-  bool delay = false;
-  std::size_t index = 0;  ///< tier index or original station index
-  double visits = 1.0;
-  double service = 0.0;  ///< FES: 1/X_sub(1); untouched: refreshed per level
-  unsigned support = 1;
-  std::vector<double> alpha;  ///< alpha[j] for j = 1..support; alpha[0] unused
-  double alpha_sat = 1.0;
-  std::vector<double> p;  ///< marginals, occupancy 0..support-1
-  // Per-level outputs; queue doubles as the Q(n-1) carry for the wait.
-  double residence = 0.0;  ///< V * R (this unit's cycle-time share)
-  double queue = 0.0;
-  double util = 0.0;
-};
 
 /// Extracted FES data of one tier: the profile result (kept alive for the
 /// disaggregation tables) and the truncation point.
@@ -246,13 +226,13 @@ MvaResult solve_hierarchical(const ClosedNetwork& network,
   // from one tabulated grid over the original model.
   const DemandGrid grid(*demands, n_max);
 
-  // ---- Build the reduced network in uniform truncated-support form.
-  std::vector<ReducedUnit> units;
+  // ---- Build the reduced network in uniform truncated-support form: a
+  // tier is its FES, a C-server station the load-dependent station with
+  // alpha(j) = min(j, C) and support C.  units[i] is plan.units[i].
+  std::vector<LoadDependentStation> units;
   units.reserve(plan.units.size());
   for (const HierarchyUnit& hu : plan.units) {
-    ReducedUnit u;
-    u.is_tier = hu.is_tier;
-    u.index = hu.index;
+    LoadDependentStation u;
     if (hu.is_tier) {
       const TierProfile& prof = profiles[hu.index];
       const double x1 = prof.result->throughput[0];
@@ -260,36 +240,28 @@ MvaResult solve_hierarchical(const ClosedNetwork& network,
                                    "' has zero throughput at population 1");
       u.visits = 1.0;
       u.service = 1.0 / x1;
-      u.support = prof.support;
-      u.alpha.assign(u.support + 1, 1.0);
+      std::vector<double> rates(prof.support);
       // Running max: exact closed-network throughput is provably
       // non-decreasing in population, but the multiserver engine's
       // saturated-regime projection can wiggle a deeply saturated
       // subnetwork's profile at the ~1e-3 level.  Monotonizing restores
       // the physical invariant the reduced recursion depends on
-      // (alpha_sat >= alpha(j), non-negative correction weights).
+      // (alpha(support) >= alpha(j), non-negative correction weights).
       double run = 1.0;
-      for (unsigned j = 1; j <= u.support; ++j) {
+      for (unsigned j = 1; j <= prof.support; ++j) {
         run = std::max(run, prof.result->throughput[j - 1] / x1);
-        u.alpha[j] = run;
+        rates[j - 1] = run;
       }
-      u.alpha_sat = u.alpha[u.support];
+      u.set_rates(rates);
     } else {
       const Station& st = network.station(hu.index);
       u.visits = st.visits;
       u.delay = st.kind == StationKind::kDelay;
       if (!u.delay) {
-        u.support = st.servers;
-        u.alpha.assign(u.support + 1, 1.0);
-        for (unsigned j = 1; j <= u.support; ++j) {
-          u.alpha[j] = static_cast<double>(j);
-        }
-        u.alpha_sat = u.alpha[u.support];
+        std::vector<double> rates(st.servers);
+        std::iota(rates.begin(), rates.end(), 1.0);
+        u.set_rates(rates);
       }
-    }
-    if (!u.delay) {
-      u.p.assign(u.support, 0.0);
-      u.p[0] = 1.0;
     }
     units.push_back(std::move(u));
   }
@@ -336,141 +308,57 @@ MvaResult solve_hierarchical(const ClosedNetwork& network,
     for (const Station& st : network.stations()) names.push_back(st.name);
   } else {
     names.reserve(units.size());
-    for (const ReducedUnit& u : units) {
-      names.push_back(u.is_tier ? "fes:" + plan.tiers[u.index].name
-                                : network.station(u.index).name);
+    for (const HierarchyUnit& hu : plan.units) {
+      names.push_back(hu.is_tier ? "fes:" + plan.tiers[hu.index].name
+                                 : network.station(hu.index).name);
     }
   }
   result.reset(std::move(names), n_max);
 
-  // ---- The reduced recursion (DESIGN.md §15).
-  //
-  // Asymptote-plus-correction form — the multiserver engine's
-  // R = (S/C)(1 + Q + F) generalized to arbitrary monotone rate profiles:
-  //
-  //   R(n) = (S / a_sat) (1 + Q(n-1) + F),
-  //   F    = sum_{j=1}^{min(n, m-1)}  j (a_sat / alpha(j) - 1) p(j-1 | n-1).
-  //
-  // This is an exact regrouping of the textbook load-dependent wait
-  // sum_j j S/alpha(j) p(j-1) using sum_j j p(j-1) = 1 + Q(n-1), with
-  // Q(n-1) carried over exactly by Little's law.  Its point is numerical:
-  // the correction weights vanish as alpha(j) -> a_sat, so the wait never
-  // reads the high-occupancy marginals — exactly the region where the
-  // classic load-dependent recursion loses accuracy once the station
-  // saturates (naively summing the full marginal ladder there compounds
-  // into unbounded throughput past the capacity bound).  The saturated
-  // bulk enters only through the exact Q(n-1) term.
-  //
-  // The marginals update descending (each p(j) reads the previous
-  // population's p(j-1)); p(0) then comes from the flow-balance identity
-  //
-  //   a p(0) + sum_{j>=1} (a - alpha(j)) p(j) = a - y,
-  //
-  // (y = X V S, the expected capacity in use), never from the
-  // catastrophically cancelling 1 - sum p(j).  A station pushed past its
-  // anchor (y >= a) zeroes its marginals: the exact asymptote, as in the
-  // multiserver engine.  For an untouched C-server station
-  // (alpha(j) = min(j, C)) all of this degenerates to the multiserver
-  // engine's own recursion, term for term.
-  //
-  // The regrouping is exact for any anchor a >= alpha(j) over the
-  // occupied range, so each level anchors at a = alpha(min(n, support)):
-  // with n customers in the whole network the station never holds more
-  // than n, and reading only alpha(1..n) keeps a population prefix of a
-  // deep solve bit-identical to a direct shallow solve — the property the
-  // service cache's prefix reuse depends on.  (Utilization alone reports
-  // against the full-depth capacity alpha(support); see below.)
+  // ---- The reduced recursion (DESIGN.md §15): the shared load-dependent
+  // step over the FES and untouched stations.  Untouched stations read
+  // their (possibly concurrency-varying) demand at the level's population.
   const double think = network.think_time();
   for (unsigned n = 1; n <= n_max; ++n) {
-    double total_vr = 0.0;
-    for (ReducedUnit& u : units) {
-      if (!u.is_tier) u.service = grid.at(n, u.index);
-      if (u.delay) {
-        u.residence = u.visits * u.service;
-        total_vr += u.residence;
-        continue;
-      }
-      const double a = u.alpha[std::min(n, u.support)];
-      double f = 0.0;
-      const unsigned lim = std::min(n, u.support - 1);
-      for (unsigned j = 1; j <= lim; ++j) {
-        f += static_cast<double>(j) * (a / u.alpha[j] - 1.0) * u.p[j - 1];
-      }
-      u.residence = u.visits * u.service / a * (1.0 + u.queue + f);
-      total_vr += u.residence;
-    }
-    const double cycle = total_vr + think;
-    MTPERF_REQUIRE(cycle > 0.0, "degenerate network: zero cycle time");
-    const double x = static_cast<double>(n) / cycle;
-
-    // Marginal updates, queues, utilizations.
-    for (ReducedUnit& u : units) {
-      if (u.delay) {
-        u.queue = x * u.residence;
-        u.util = x * u.visits * u.service;
-        continue;
-      }
-      const double y = x * u.visits * u.service;
-      u.queue = x * u.residence;
-      // Utilization is pure reporting (nothing downstream reads it back):
-      // offered capacity-in-use over the profile's full truncation-depth
-      // capacity, matching the load-dependent oracle's convention.
-      u.util = y / u.alpha_sat;
-      const double a = u.alpha[std::min(n, u.support)];
-      if (y >= a) {
-        // Fully saturated: the correction vanishes and zero marginals are
-        // the exact asymptote (R -> (S/a)(1 + Q)).
-        std::fill(u.p.begin(), u.p.end(), 0.0);
-        continue;
-      }
-      const unsigned jm = std::min(n, u.support - 1);
-      double weighted = 0.0;
-      for (unsigned j = jm; j >= 1; --j) {
-        u.p[j] = y * u.p[j - 1] / u.alpha[j];
-        weighted += (a - u.alpha[j]) * u.p[j];
-      }
-      // Flow-balance identity for p(0), projected when floating-point
-      // drift near saturation overdraws the idle budget.
-      const double idle = a - y;
-      if (weighted > idle && weighted > 0.0) {
-        const double scale = idle / weighted;
-        for (unsigned j = 1; j <= jm; ++j) u.p[j] *= scale;
-        u.p[0] = 0.0;
-      } else {
-        u.p[0] = (idle - weighted) / a;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+      if (!plan.units[i].is_tier) {
+        units[i].service = grid.at(n, plan.units[i].index);
       }
     }
+    const LoadDependentLevel step = load_dependent_step(units, n, think);
+    const double x = step.throughput;
 
     // ---- Report.
     const std::size_t level = n - 1;
     result.throughput[level] = x;
-    result.response_time[level] = total_vr;
-    result.cycle_time[level] = cycle;
+    result.response_time[level] = step.response_time;
+    result.cycle_time[level] = step.cycle_time;
     double* const queue_row = result.queue_row(level);
     double* const util_row = result.utilization_row(level);
     double* const residence_row = result.residence_row(level);
-    for (const ReducedUnit& u : units) {
+    for (std::size_t pos = 0; pos < units.size(); ++pos) {
+      const LoadDependentStation& u = units[pos];
       if (!station_detail) {
-        const std::size_t pos = static_cast<std::size_t>(&u - units.data());
         queue_row[pos] = u.queue;
         util_row[pos] = u.util;
         residence_row[pos] = u.residence;
         continue;
       }
-      if (!u.is_tier) {
-        queue_row[u.index] = u.queue;
-        util_row[u.index] = u.util;
-        residence_row[u.index] = u.residence;
+      const HierarchyUnit& hu = plan.units[pos];
+      if (!hu.is_tier) {
+        queue_row[hu.index] = u.queue;
+        util_row[hu.index] = u.util;
+        residence_row[hu.index] = u.residence;
         continue;
       }
       // Exact conditional disaggregation: E[Q_k] = sum_j P(tier holds j)
       // * Q_k(j), with the truncated tail extrapolated along the
       // saturated-growth shares b_k (all tail growth goes to the
       // subnetwork bottleneck mix).  Exact when support = n_max.
-      const std::vector<double>& qs = qsub[u.index];
-      const std::vector<double>& us = usub[u.index];
-      const std::vector<double>& bs = bsub[u.index];
-      const std::vector<std::size_t>& members = plan.tiers[u.index].stations;
+      const std::vector<double>& qs = qsub[hu.index];
+      const std::vector<double>& us = usub[hu.index];
+      const std::vector<double>& bs = bsub[hu.index];
+      const std::vector<std::size_t>& members = plan.tiers[hu.index].stations;
       const std::size_t width = members.size();
       const unsigned jm = std::min(n, u.support - 1);
       // Tail aggregates, derived rather than carried: the occupancy mass

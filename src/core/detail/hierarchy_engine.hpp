@@ -6,10 +6,11 @@
 // extract its throughput profile X_sub(j), replace the subnetwork by one
 // load-dependent station with rate multipliers alpha(j) = X_sub(j) /
 // X_sub(1) and service time 1 / X_sub(1), and solve the reduced network
-// with the full load-dependent marginal recursion.  For product-form
-// networks (constant demands) the aggregation is *exact* — including
-// multiple simultaneous aggregates — so a tolerance-0 hierarchical solve
-// reproduces the flat exact solution up to floating-point noise.  With
+// with the shared load-dependent step (load_dependent_engine.hpp).  For
+// product-form networks (constant demands) the aggregation is *exact* —
+// including multiple simultaneous aggregates — so a tolerance-0
+// hierarchical solve reproduces the flat exact solution up to
+// floating-point noise.  With
 // concurrency-varying demands (MVASD) the subnetwork is evaluated at its
 // own population rather than the system population, which makes the
 // decomposition a controlled approximation.
@@ -29,9 +30,11 @@
 //    batch that edits one tier recomputes one profile and reuses the rest.
 //
 // Truncation only affects populations beyond j*, and the extraction
-// schedule caps at max_population, so a prefix of a deep hierarchical
-// solve is bit-identical to a direct shallower solve — the property the
-// engine's population-prefix cache reuse relies on (DESIGN.md §15).
+// schedule caps at max_population, so the system series (X, R, cycle
+// time) of a prefix of a deep hierarchical solve are bit-identical to a
+// direct shallower solve.  Station rows and the tier-detail FES
+// utilization are not: the support min(N, j*) depends on the requested
+// depth (DESIGN.md §15, ROADMAP item 4).
 #pragma once
 
 #include <functional>

@@ -1,15 +1,14 @@
 // Reusable per-thread scratch buffers for the MVA solver family.
 //
 // Every solver iteration needs the same small set of per-station arrays
-// (queues, residence times, current demands, utilizations) plus, for the
-// multi-server and load-dependent recursions, per-station marginal
-// queue-size probabilities.  Allocating these per solve — let alone per
-// population level, as the seed did for `util` and the vector<vector>
-// marginals — dominates the cost of small networks and fragments the heap
-// in scenario sweeps.  The workspace hoists them all into one thread_local
-// object: buffers grow to the largest network seen on the thread and are
-// then reused allocation-free across solves (each pool worker in a
-// parallel sweep owns its own).
+// (queues, residence times, current demands) plus, for the multi-server
+// recursion, per-station marginal queue-size probabilities.  Allocating
+// these per solve — let alone per population level, as the seed did for
+// utilizations and the vector<vector> marginals — dominates the cost of
+// small networks and fragments the heap in scenario sweeps.  The workspace
+// hoists them all into one thread_local object: buffers grow to the largest
+// network seen on the thread and are then reused allocation-free across
+// solves (each pool worker in a parallel sweep owns its own).
 #pragma once
 
 #include <cstddef>
@@ -23,12 +22,10 @@ struct SolverWorkspace {
   std::vector<double> queue;
   std::vector<double> residence;
   std::vector<double> s_now;
-  std::vector<double> util;
 
-  /// Flattened marginal-probability buffers: station k's slots live at
-  /// [p_offset[k], p_offset[k+1]) in `p` and `p_next` (the swap buffer).
+  /// Flattened marginal-probability buffer: station k's slots live at
+  /// [p_offset[k], p_offset[k+1]) in `p`.
   std::vector<double> p;
-  std::vector<double> p_next;
   std::vector<std::size_t> p_offset;
 
   /// Dense copies of the per-station fields the inner loops touch.  Station
@@ -44,7 +41,6 @@ struct SolverWorkspace {
     queue.assign(k_count, 0.0);
     residence.assign(k_count, 0.0);
     s_now.assign(k_count, 0.0);
-    util.assign(k_count, 0.0);
   }
 
   /// Fill the dense station-field mirrors from the network.
@@ -74,17 +70,6 @@ struct SolverWorkspace {
       p_offset[k + 1] = p_offset[k] + network.station(k).servers;
     }
     p.assign(p_offset[k_count], 0.0);
-    p_next.assign(p_offset[k_count], 0.0);
-    for (std::size_t k = 0; k < k_count; ++k) p[p_offset[k]] = 1.0;
-  }
-
-  /// Uniform layout: `slots` marginal entries per station (the
-  /// load-dependent recursion tracks P_k(j), j = 0..N), P_k(0) = 1.
-  void prepare_marginals_uniform(std::size_t k_count, std::size_t slots) {
-    p_offset.resize(k_count + 1);
-    for (std::size_t k = 0; k <= k_count; ++k) p_offset[k] = k * slots;
-    p.assign(k_count * slots, 0.0);
-    p_next.assign(k_count * slots, 0.0);
     for (std::size_t k = 0; k < k_count; ++k) p[p_offset[k]] = 1.0;
   }
 };

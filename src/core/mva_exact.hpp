@@ -17,7 +17,8 @@ namespace mtperf::core {
 /// Solve the closed network for populations 1..max_population with constant
 /// per-visit service times `service_times` (S_k, one per station).  Station
 /// server counts are ignored — this is the single-server algorithm; use
-/// exact_multiserver_mva or normalize demands for multi-core stations.
+/// mvasd (Algorithm 2 with constant demands) or normalize demands for
+/// multi-core stations.
 MvaResult exact_mva(const ClosedNetwork& network,
                     std::span<const double> service_times,
                     unsigned max_population);

@@ -1,7 +1,10 @@
 #include "core/mva_interval.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
-#include "core/mva_multiserver.hpp"
+#include "core/demand_model.hpp"
+#include "core/mvasd.hpp"
 
 namespace mtperf::core {
 
@@ -27,8 +30,10 @@ IntervalMvaResult interval_mva(const ClosedNetwork& network,
     upper.push_back(d.upper);
   }
   IntervalMvaResult result;
-  result.optimistic = exact_multiserver_mva(network, lower, max_population);
-  result.pessimistic = exact_multiserver_mva(network, upper, max_population);
+  result.optimistic =
+      mvasd(network, DemandModel::constant(std::move(lower)), max_population);
+  result.pessimistic =
+      mvasd(network, DemandModel::constant(std::move(upper)), max_population);
   return result;
 }
 

@@ -1,18 +1,15 @@
-// Exact MVA for load-dependent stations (Reiser & Lavenberg's full
-// recursion over marginal queue-length distributions).
+// Exact MVA for load-dependent stations (Reiser & Lavenberg), with
+// per-station tabulated rate profiles — the form of JMT-style
+// load-dependent service arrays and of flow-equivalent-server profiles
+// extracted from a subnetwork throughput curve.  A C_k-server queue is the
+// load-dependent station with profile {1, 2, ..., C_k}, which is how
+// SolverKind::kLoadDependent reads the network (multiserver_profiles).
 //
-// Two roles in this library:
-//  * Oracle: a C_k-server queue is the load-dependent station with rate
-//    multiplier alpha(j) = min(j, C_k); this recursion therefore provides an
-//    independent exact solution to validate Algorithm 2 against.
-//  * Extension: arbitrary alpha(j) models (e.g. JMT-style load-dependent
-//    service arrays) come for free.
-//
-// Cost: O(N^2 K) time, O(N K) space — noticeably heavier than Algorithm 2's
-// O(N K) time, which is the practical argument for the paper's approach.
+// Runs on the stable asymptote-plus-correction step the hierarchical
+// solver shares (core/detail/load_dependent_engine.hpp).  Cost:
+// O(N sum_k m_k) time for profiles of length m_k, O(sum_k m_k) space.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -21,37 +18,26 @@
 
 namespace mtperf::core {
 
-/// Rate multiplier alpha_k(j): relative service capacity with j customers
-/// present (alpha(1) = 1 means S_k is the 1-customer service time).
-using RateMultiplier = std::function<double(unsigned jobs)>;
-
-/// alpha(j) = min(j, servers) — the multi-server station law.
-RateMultiplier multiserver_rate(unsigned servers);
-
-/// alpha(j) = 1 — plain single-server station.
-RateMultiplier single_server_rate();
-
 /// Solve for populations 1..max_population with constant per-visit service
-/// times and per-station rate multipliers (delay stations ignore theirs).
-MvaResult load_dependent_mva(const ClosedNetwork& network,
-                             std::span<const double> service_times,
-                             const std::vector<RateMultiplier>& rates,
-                             unsigned max_population);
-
-/// Tabulated-profile overload: rate_profiles[k][j-1] is alpha_k(j), and a
-/// profile shorter than max_population saturates — populations beyond its
-/// length are served at the last entry (truncation clamps at .back()).
-/// This is the natural form for flow-equivalent-server profiles extracted
-/// from a subnetwork throughput curve (alpha(j) = X_sub(j) / X_sub(1)).
+/// times and per-station rate profiles: rate_profiles[k][j-1] is alpha_k(j),
+/// the relative service capacity with j customers present (alpha(1) = 1
+/// means S_k is the 1-customer service time).  A profile shorter than
+/// max_population saturates — populations beyond its length are served at
+/// the last entry.  Delay stations ignore their profile.  Utilization is
+/// X V_k S_k / alpha_k(last entry): X V S / C for a C-server profile.
 ///
 /// Validated up front, with violations named per station: every profile
 /// must be nonempty, finite and strictly positive at every entry, and
-/// non-decreasing (service capacity cannot shrink as the queue grows —
-/// laws that do shrink must use the RateMultiplier overload explicitly).
+/// non-decreasing (service capacity cannot shrink as the queue grows).
 /// Throws mtperf::invalid_argument_error.
 MvaResult load_dependent_mva(
     const ClosedNetwork& network, std::span<const double> service_times,
     const std::vector<std::vector<double>>& rate_profiles,
     unsigned max_population);
+
+/// The multi-server law alpha_k(j) = min(j, C_k) of every station of
+/// `network`, as the profiles {1, 2, ..., C_k}.
+std::vector<std::vector<double>> multiserver_profiles(
+    const ClosedNetwork& network);
 
 }  // namespace mtperf::core

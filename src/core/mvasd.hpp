@@ -17,12 +17,21 @@
 //    normalization is distinctly worse than the exact multi-server model.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "core/demand_model.hpp"
-#include "core/mva_multiserver.hpp"
 #include "core/network.hpp"
 #include "core/result.hpp"
 
 namespace mtperf::core {
+
+/// Per-population marginal probabilities of one station (Fig. 3): after
+/// the population-n update, rows[n-1][j] holds P_k(j | n) for j in
+/// [0, C_k-1] — the probability of j busy servers (no queueing yet).
+struct MarginalProbabilityTrace {
+  std::vector<std::vector<double>> rows;
+};
 
 /// Algorithm 3: exact multi-server MVA with varying service demands.
 /// `grid` optionally supplies an already-tabulated DemandGrid for `demands`

@@ -9,7 +9,7 @@
 #include "core/detail/hierarchy_engine.hpp"
 #include "core/detail/multiclass_batch_engine.hpp"
 #include "core/mva_exact.hpp"
-#include "core/mva_multiserver.hpp"
+#include "core/mva_load_dependent.hpp"
 #include "core/mvasd.hpp"
 #include "core/seidmann.hpp"
 #include "core/sweep.hpp"
@@ -127,19 +127,10 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
                                       options.approx);
       }
       return approx_mvasd(network, *demands, n, options.approx);
-    case SolverKind::kLoadDependent: {
-      std::vector<RateMultiplier> rates = options.rates;
-      if (rates.empty()) {
-        rates.reserve(network.size());
-        for (const auto& st : network.stations()) {
-          rates.push_back(multiserver_rate(st.servers));
-        }
-      }
-      MTPERF_REQUIRE(rates.size() == network.size(),
-                     "one rate multiplier per station required");
-      return load_dependent_mva(
-          network, constant_demands(*demands, options.solver), rates, n);
-    }
+    case SolverKind::kLoadDependent:
+      return load_dependent_mva(network,
+                                constant_demands(*demands, options.solver),
+                                multiserver_profiles(network), n);
     case SolverKind::kExactMultiserver:
     case SolverKind::kMvasd:
       // Algorithm 2 is Algorithm 3 with constant demands: one recursion

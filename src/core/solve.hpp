@@ -9,9 +9,9 @@
 //
 //   MvaResult r = solve(network, &demands, {SolverKind::kMvasd, 1500});
 //
-// The legacy free functions (mvasd, exact_mva, exact_multiserver_mva, ...)
-// remain as thin wrappers; solve() forwards to them, so results are
-// bit-identical to the historical entry points.
+// solve() forwards to the per-algorithm free functions (mvasd, exact_mva,
+// load_dependent_mva, ...), so its results are bit-identical to calling
+// them directly.
 #pragma once
 
 #include <string>
@@ -19,7 +19,6 @@
 
 #include "core/demand_model.hpp"
 #include "core/mva_approx_multiserver.hpp"
-#include "core/mva_load_dependent.hpp"
 #include "core/mva_multiclass.hpp"
 #include "core/mva_schweitzer.hpp"
 #include "core/network.hpp"
@@ -39,7 +38,7 @@ enum class SolverKind {
   kExactMultiserver,    ///< Algorithm 2 — the same recursion as kMvasd
   kSchweitzer,          ///< Eq. 9 fixed point (schweitzer_mva) — constant
   kApproxMultiserver,   ///< approx_multiserver_mva / approx_mvasd
-  kLoadDependent,       ///< full marginal recursion (load_dependent_mva)
+  kLoadDependent,       ///< load_dependent_mva with profiles {1..C_k}
   kMvasd,               ///< Algorithm 3 (mvasd) — varying demands
   kMvasdSingleServer,   ///< Fig. 8 baseline (mvasd_single_server)
   kSeidmann,            ///< Seidmann transform + exact recursion — constant
@@ -115,9 +114,6 @@ struct SolveOptions {
   /// recursions.
   SchweitzerOptions schweitzer{};
   ApproxMultiserverOptions approx{};
-  /// kLoadDependent only: per-station rate multipliers.  Empty selects the
-  /// multi-server law alpha_k(j) = min(j, C_k) derived from the network.
-  std::vector<RateMultiplier> rates{};
   /// Multiclass kinds only: the customer classes of the mix.  Must be
   /// empty for every other kind.  When set, `max_population` must equal
   /// multiclass_axis_levels(solver, classes) — the series solvers emit one

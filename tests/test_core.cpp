@@ -5,7 +5,8 @@
 //  * an independent birth-death oracle for machine-repair (M/M/C//N)
 //    models with think time,
 //  * cross-checks between independent solver implementations
-//    (Algorithm 2 vs the full load-dependent recursion),
+//    (Algorithm 2 vs the load-dependent recursion), both against Buzen's
+//    convolution in long double (convolution_oracle.hpp),
 //  * the operational-analysis bounds every prediction must respect.
 #include <gtest/gtest.h>
 
@@ -18,15 +19,16 @@
 #include "apps/jpetstore.hpp"
 #include "apps/vins.hpp"
 #include "common/error.hpp"
+#include "convolution_oracle.hpp"
 #include "core/demand_model.hpp"
 #include "core/mva_exact.hpp"
 #include "core/mva_load_dependent.hpp"
-#include "core/mva_multiserver.hpp"
 #include "core/mva_schweitzer.hpp"
 #include "core/mvasd.hpp"
 #include "core/network.hpp"
 #include "core/prediction.hpp"
 #include "core/seidmann.hpp"
+#include "core/solve.hpp"
 #include "core/sweep.hpp"
 #include "interp/cubic_spline.hpp"
 #include "ops/bounds.hpp"
@@ -252,7 +254,7 @@ TEST(Schweitzer, RespectsAsymptoticBounds) {
 TEST(MultiServer, SingleServerReducesToExactMva) {
   const auto net = make_network({"a", "b"}, {1, 1}, 1.0);
   const std::vector<double> s{0.1, 0.25};
-  const auto ms = exact_multiserver_mva(net, s, 40);
+  const auto ms = mvasd(net, DemandModel::constant(s), 40);
   const auto ex = exact_mva(net, s, 40);
   for (std::size_t i = 0; i < ms.levels(); ++i) {
     EXPECT_NEAR(ms.throughput[i], ex.throughput[i], 1e-12);
@@ -268,7 +270,7 @@ TEST_P(MachineRepairMultiServer, MatchesBirthDeathOracle) {
   const auto net = single_station(servers, z);
   const std::vector<double> demands{s};
   const unsigned n_max = 4 * servers + 12;
-  const auto r = exact_multiserver_mva(net, demands, n_max);
+  const auto r = mvasd(net, DemandModel::constant(demands), n_max);
   for (unsigned n = 1; n <= n_max; ++n) {
     const double oracle = machine_repair_throughput(n, z, s, servers);
     EXPECT_NEAR(r.throughput[r.row_for(n)], oracle, 0.002 * oracle)
@@ -291,15 +293,20 @@ TEST(MultiServer, AgreesWithLoadDependentRecursion) {
        Station{"db", 1.0, 4, StationKind::kQueueing}},
       2.0);
   const std::vector<double> s{0.04, 0.012, 0.06};
-  const std::vector<RateMultiplier> rates{multiserver_rate(8),
-                                          multiserver_rate(1),
-                                          multiserver_rate(4)};
-  const auto ms = exact_multiserver_mva(net, s, 150);
-  const auto ld = load_dependent_mva(net, s, rates, 150);
-  for (unsigned n : {1u, 5u, 20u, 60u, 100u, 150u}) {
-    const double a = ms.throughput[ms.row_for(n)];
-    const double b = ld.throughput[ld.row_for(n)];
-    EXPECT_NEAR(a, b, 0.01 * b) << "n=" << n;
+  const auto profiles = multiserver_profiles(net);
+  const auto ms = mvasd(net, DemandModel::constant(s), 150);
+  const auto ld = load_dependent_mva(net, s, profiles, 150);
+  const auto exact = test_oracle::convolution_solve(net, s, profiles, 150);
+  // Measured: 2e-16 between the recursions, 5e-13 to the convolution
+  // (throughput), 7e-11 absolute on queue lengths.
+  for (std::size_t i = 0; i < ms.levels(); ++i) {
+    const double x = exact.throughput[i];
+    EXPECT_NEAR(ms.throughput[i], ld.throughput[i], 1e-12 * x) << "i=" << i;
+    EXPECT_NEAR(ms.throughput[i], x, 1e-11 * x) << "i=" << i;
+    EXPECT_NEAR(ld.throughput[i], x, 1e-11 * x) << "i=" << i;
+    for (std::size_t k = 0; k < net.size(); ++k) {
+      EXPECT_NEAR(ld.queue(i, k), exact.queue[i][k], 1e-9) << "i=" << i;
+    }
   }
 }
 
@@ -309,7 +316,7 @@ TEST(MultiServer, ThroughputMonotoneAndBottleneckBounded) {
        Station{"disk", 1.0, 1, StationKind::kQueueing}},
       1.0);
   const std::vector<double> s{0.08, 0.012};
-  const auto r = exact_multiserver_mva(net, s, 400);
+  const auto r = mvasd(net, DemandModel::constant(s), 400);
   double prev = 0.0;
   for (std::size_t i = 0; i < r.levels(); ++i) {
     // Near saturation the stabilized marginal-probability recursion can dip
@@ -329,7 +336,7 @@ TEST(MultiServer, MarginalTraceIsDistribution) {
   const std::vector<double> s{0.5};
   MarginalProbabilityTrace trace;
   const auto r =
-      exact_multiserver_mva_traced(net, s, 60, "st", trace);
+      mvasd_traced(net, DemandModel::constant(s), 60, "st", trace);
   ASSERT_EQ(trace.rows.size(), 60u);
   for (const auto& row : trace.rows) {
     ASSERT_EQ(row.size(), 4u);
@@ -349,7 +356,7 @@ TEST(MultiServer, MarginalsVanishAtSaturation) {
   const auto net = single_station(4, 0.5);
   const std::vector<double> s{1.0};
   MarginalProbabilityTrace trace;
-  exact_multiserver_mva_traced(net, s, 100, "st", trace);
+  mvasd_traced(net, DemandModel::constant(s), 100, "st", trace);
   for (double p : trace.rows.back()) {
     EXPECT_NEAR(p, 0.0, 1e-6);
   }
@@ -364,7 +371,7 @@ TEST(MultiServer, NormalizedSingleServerDistortsLightLoad) {
   // models share the C/S saturation ceiling.
   const auto ms_net = single_station(8, 1.0);
   const auto ss_net = single_station(1, 1.0);
-  const auto ms = exact_multiserver_mva(ms_net, std::vector<double>{0.8}, 200);
+  const auto ms = mvasd(ms_net, DemandModel::constant({0.8}), 200);
   const auto ss = exact_mva(ss_net, std::vector<double>{0.1}, 200);
   // At n <= C, the multi-server station has no queueing at all: R = S.
   EXPECT_NEAR(ms.response_time[ms.row_for(6)], 0.8, 0.01);
@@ -518,7 +525,10 @@ TEST(Mvasd, ConstantDemandsReproduceAlgorithm2Exactly) {
        Station{"disk", 1.0, 1, StationKind::kQueueing}},
       1.0);
   const std::vector<double> s{0.06, 0.015};
-  const auto fixed = exact_multiserver_mva(net, s, 120);
+  // "exact-multiserver" names Algorithm 2; it must be Algorithm 3 run on
+  // a constant demand model.
+  const auto fixed = solve(net, DemandModel::constant(s),
+                           {SolverKind::kExactMultiserver, 120});
   const auto varying = mvasd(net, DemandModel::constant(s), 120);
   for (std::size_t i = 0; i < fixed.levels(); ++i) {
     EXPECT_DOUBLE_EQ(fixed.throughput[i], varying.throughput[i]);
@@ -532,8 +542,7 @@ TEST(Mvasd, DecreasingDemandLiftsThroughputCeiling) {
       interp::build_cubic_spline(
           interp::SampleSet({1, 100, 200}, {0.02, 0.012, 0.01})));
   const auto adaptive = mvasd(net, DemandModel::interpolated({spline}), 300);
-  const auto fixed =
-      exact_multiserver_mva(net, std::vector<double>{0.02}, 300);
+  const auto fixed = mvasd(net, DemandModel::constant({0.02}), 300);
   // Constant-demand model saturates at 1/0.02 = 50; MVASD reaches ~1/0.01.
   EXPECT_NEAR(fixed.throughput.back(), 50.0, 0.5);
   EXPECT_GT(adaptive.throughput.back(), 90.0);
@@ -604,64 +613,111 @@ TEST(Mvasd, TracedVariantExposesMarginals) {
 // ---------------------------------------------------------- load-dependent
 
 TEST(LoadDependent, SingleServerRateMatchesExactMva) {
+  // alpha = 1 is plain exact MVA, bit for bit.
   const auto net = make_network({"a", "b"}, {1, 1}, 1.0);
   const std::vector<double> s{0.1, 0.2};
   const auto ld = load_dependent_mva(
-      net, s, {single_server_rate(), single_server_rate()}, 40);
+      net, s, std::vector<std::vector<double>>{{1.0}, {1.0}}, 40);
   const auto ex = exact_mva(net, s, 40);
-  for (std::size_t i = 0; i < ld.levels(); ++i) {
-    EXPECT_NEAR(ld.throughput[i], ex.throughput[i], 1e-9);
-  }
+  EXPECT_EQ(ld.throughput, ex.throughput);
+  EXPECT_EQ(ld.response_time, ex.response_time);
+  EXPECT_EQ(ld.cycle_time, ex.cycle_time);
+  EXPECT_EQ(ld.station_queue, ex.station_queue);
+  EXPECT_EQ(ld.station_utilization, ex.station_utilization);
+  EXPECT_EQ(ld.station_residence, ex.station_residence);
 }
 
 TEST(LoadDependent, FasterRatesRaiseThroughput) {
   const auto net = single_station(1, 1.0);
   const std::vector<double> s{0.5};
-  const auto slow = load_dependent_mva(net, s, {single_server_rate()}, 30);
-  const auto fast = load_dependent_mva(net, s, {multiserver_rate(4)}, 30);
+  const auto slow =
+      load_dependent_mva(net, s, std::vector<std::vector<double>>{{1.0}}, 30);
+  const auto fast = load_dependent_mva(
+      net, s, std::vector<std::vector<double>>{{1.0, 2.0, 3.0, 4.0}}, 30);
   EXPECT_GT(fast.throughput.back(), slow.throughput.back());
 }
 
 TEST(LoadDependent, RejectsNonPositiveRate) {
   const auto net = single_station(1, 1.0);
   EXPECT_THROW(load_dependent_mva(net, std::vector<double>{0.5},
-                                  {[](unsigned) { return 0.0; }}, 5),
+                                  std::vector<std::vector<double>>{{0.0}}, 5),
                invalid_argument_error);
 }
 
-TEST(LoadDependent, ProfileOverloadMatchesRateClosures) {
-  const auto net = make_network({"a", "b"}, {1, 1}, 1.0);
+TEST(LoadDependent, FacadeSolvesServersAsMultiserverProfiles) {
+  // SolverKind::kLoadDependent reads a C-server station as the profile
+  // {1, ..., C}.
+  const auto net = make_network({"a", "b"}, {4, 1}, 1.0);
   const std::vector<double> s{0.1, 0.2};
-  // alpha(j) = min(j, 4) as an explicit vector vs the closure.
   const auto from_profile = load_dependent_mva(
       net, s,
       std::vector<std::vector<double>>{{1.0, 2.0, 3.0, 4.0}, {1.0}}, 40);
-  const auto from_closure = load_dependent_mva(
-      net, s, {multiserver_rate(4), single_server_rate()}, 40);
-  EXPECT_EQ(from_profile.throughput, from_closure.throughput);
-  EXPECT_EQ(from_profile.station_queue, from_closure.station_queue);
+  const auto from_facade =
+      solve(net, DemandModel::constant(s), {SolverKind::kLoadDependent, 40});
+  EXPECT_EQ(from_profile.throughput, from_facade.throughput);
+  EXPECT_EQ(from_profile.station_queue, from_facade.station_queue);
+  EXPECT_EQ(from_profile.station_utilization,
+            from_facade.station_utilization);
 }
 
 TEST(LoadDependent, ProfileShorterThanPopulationClampsAtItsLastEntry) {
   // A 3-entry profile on a 30-customer solve: populations past 3 run at
   // the profile's final rate — pin this truncation behavior against the
-  // equivalent closure.
+  // same profile padded out to the population.
   const auto net = single_station(1, 1.0);
   const std::vector<double> s{0.5};
   const std::vector<double> profile{1.0, 1.8, 2.4};
+  std::vector<double> padded(30, 2.4);
+  std::copy(profile.begin(), profile.end(), padded.begin());
   const auto truncated = load_dependent_mva(
       net, s, std::vector<std::vector<double>>{profile}, 30);
-  const auto closure = load_dependent_mva(
-      net, s,
-      {[&profile](unsigned jobs) {
-        return profile[std::min<std::size_t>(jobs, profile.size()) - 1];
-      }},
-      30);
-  EXPECT_EQ(truncated.throughput, closure.throughput);
+  const auto explicit_tail = load_dependent_mva(
+      net, s, std::vector<std::vector<double>>{padded}, 30);
+  EXPECT_EQ(truncated.throughput, explicit_tail.throughput);
+  EXPECT_EQ(truncated.station_queue, explicit_tail.station_queue);
   // And the clamp really binds: a longer, still-rising profile does better.
   const auto longer = load_dependent_mva(
       net, s, std::vector<std::vector<double>>{{1.0, 1.8, 2.4, 3.0}}, 30);
   EXPECT_GT(longer.throughput.back(), truncated.throughput.back());
+}
+
+TEST(LoadDependent, ArbitraryProfilesMatchConvolution) {
+  // Non-multiserver laws (sublinear speedup, a delay hop, visits != 1)
+  // against the convolution oracle.
+  const ClosedNetwork net(
+      {Station{"pool", 2.0, 1, StationKind::kQueueing},
+       Station{"lan", 1.0, 1, StationKind::kDelay},
+       Station{"disk", 0.5, 1, StationKind::kQueueing}},
+      0.7);
+  const std::vector<double> s{0.05, 0.02, 0.04};
+  const std::vector<std::vector<double>> profiles{
+      {1.0, 1.8, 2.4, 2.8, 3.0}, {1.0}, {1.0, 1.5}};
+  const auto ld = load_dependent_mva(net, s, profiles, 120);
+  const auto exact = test_oracle::convolution_solve(net, s, profiles, 120);
+  for (std::size_t i = 0; i < ld.levels(); ++i) {
+    const double x = exact.throughput[i];
+    // Measured 4e-16.
+    EXPECT_NEAR(ld.throughput[i], x, 1e-12 * x) << "i=" << i;
+    EXPECT_NEAR(ld.response_time[i], exact.response_time[i],
+                1e-12 * exact.response_time[i])
+        << "i=" << i;
+  }
+}
+
+TEST(LoadDependent, StaysUnderCapacityBoundPastSaturation) {
+  // 16-core CPU (S = 0.2 s) and a disk (S = 0.005 s), Z = 1 s: capacity
+  // min(16 / 0.2, 1 / 0.005) = 80 req/s, which must hold deep into CPU
+  // saturation, where unstable marginal recursions overshoot it.
+  const ClosedNetwork net({Station{"cpu", 1.0, 16, StationKind::kQueueing},
+                           Station{"disk", 1.0, 1, StationKind::kQueueing}},
+                          1.0);
+  const auto r = solve(net, DemandModel::constant({0.2, 0.005}),
+                       {SolverKind::kLoadDependent, 400});
+  for (std::size_t i = 0; i < r.levels(); ++i) {
+    EXPECT_LE(r.throughput[i], 80.0 * (1.0 + 1e-12)) << "i=" << i;
+    EXPECT_LE(r.utilization(i, 0), 1.0 + 1e-12) << "i=" << i;
+  }
+  EXPECT_NEAR(r.throughput.back(), 80.0, 1e-6);
 }
 
 TEST(LoadDependent, ProfileOverloadSingleStationMatchesExact) {
@@ -732,7 +788,7 @@ TEST(Seidmann, ApproximatesExactMultiServerReasonably) {
   const auto net = single_station(4, 2.0);
   const std::vector<double> s{1.0};
   const auto approx = seidmann_mva(net, s, 40);
-  const auto exact = exact_multiserver_mva(net, s, 40);
+  const auto exact = mvasd(net, DemandModel::constant(s), 40);
   for (unsigned n : {1u, 4u, 10u, 25u, 40u}) {
     const double a = approx.throughput[approx.row_for(n)];
     const double e = exact.throughput[exact.row_for(n)];

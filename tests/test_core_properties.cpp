@@ -9,12 +9,12 @@
 #include <memory>
 
 #include "common/rng.hpp"
+#include "convolution_oracle.hpp"
 #include "core/demand_model.hpp"
 #include "core/mva_exact.hpp"
 #include "core/mva_interval.hpp"
 #include "core/mva_load_dependent.hpp"
 #include "core/mva_multiclass.hpp"
-#include "core/mva_multiserver.hpp"
 #include "core/mva_schweitzer.hpp"
 #include "core/mvasd.hpp"
 #include "core/network.hpp"
@@ -57,7 +57,8 @@ class RandomNetworks : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomNetworks, LittlesLawAndConservationHold) {
   const RandomCase c = make_case(1000 + GetParam());
-  const auto r = exact_multiserver_mva(c.network, c.demands, c.max_population);
+  const auto r =
+      mvasd(c.network, DemandModel::constant(c.demands), c.max_population);
   for (std::size_t i = 0; i < r.levels(); ++i) {
     // Little's law at the system level.
     EXPECT_NEAR(r.throughput[i] * r.cycle_time[i],
@@ -73,7 +74,8 @@ TEST_P(RandomNetworks, LittlesLawAndConservationHold) {
 
 TEST_P(RandomNetworks, ThroughputMonotoneAndCapacityBounded) {
   const RandomCase c = make_case(2000 + GetParam());
-  const auto r = exact_multiserver_mva(c.network, c.demands, c.max_population);
+  const auto r =
+      mvasd(c.network, DemandModel::constant(c.demands), c.max_population);
   double capacity = std::numeric_limits<double>::infinity();
   for (std::size_t k = 0; k < c.network.size(); ++k) {
     const Station& st = c.network.station(k);
@@ -97,17 +99,22 @@ TEST_P(RandomNetworks, ThroughputMonotoneAndCapacityBounded) {
 
 TEST_P(RandomNetworks, MultiServerAgreesWithLoadDependent) {
   const RandomCase c = make_case(3000 + GetParam());
-  std::vector<RateMultiplier> rates;
-  for (const auto& st : c.network.stations()) {
-    rates.push_back(multiserver_rate(st.servers));
-  }
-  const auto ms = exact_multiserver_mva(c.network, c.demands,
-                                        c.max_population);
+  const auto profiles = multiserver_profiles(c.network);
+  const auto ms =
+      mvasd(c.network, DemandModel::constant(c.demands), c.max_population);
   const auto ld =
-      load_dependent_mva(c.network, c.demands, rates, c.max_population);
+      load_dependent_mva(c.network, c.demands, profiles, c.max_population);
+  const auto exact = test_oracle::convolution_solve(
+      c.network, c.demands, profiles, c.max_population);
+  // Measured over these 12 seeds: 9e-10 worst against the convolution
+  // (both recursions project their marginals once a station saturates).
   for (std::size_t i = 0; i < ms.levels(); ++i) {
-    EXPECT_NEAR(ms.throughput[i], ld.throughput[i],
-                0.02 * std::max(ms.throughput[i], 1e-9))
+    const double x = exact.throughput[i];
+    EXPECT_NEAR(ms.throughput[i], ld.throughput[i], 1e-8 * x)
+        << "population " << ms.population[i];
+    EXPECT_NEAR(ld.throughput[i], x, 1e-8 * x)
+        << "population " << ms.population[i];
+    EXPECT_NEAR(ms.throughput[i], x, 1e-8 * x)
         << "population " << ms.population[i];
   }
 }
@@ -167,7 +174,8 @@ TEST_P(RandomNetworks, IntervalMvaBracketsInteriorDemandVectors) {
   // Any demand vector inside the box must produce results inside the band.
   std::vector<double> inner(c.demands);
   for (double& d : inner) d *= rng.uniform(0.85, 1.15);
-  const auto mid = exact_multiserver_mva(c.network, inner, c.max_population);
+  const auto mid =
+      mvasd(c.network, DemandModel::constant(inner), c.max_population);
   for (unsigned n : {1u, c.max_population}) {
     const std::size_t i = mid.row_for(n);
     EXPECT_LE(banded.pessimistic.throughput[i],
@@ -191,7 +199,7 @@ TEST_P(RandomNetworks, MvasdWithConstantSplineEqualsConstantModel) {
       c.network, DemandModel::interpolated(std::move(interpolants)),
       c.max_population);
   const auto fixed =
-      exact_multiserver_mva(c.network, c.demands, c.max_population);
+      mvasd(c.network, DemandModel::constant(c.demands), c.max_population);
   for (std::size_t i = 0; i < fixed.levels(); ++i) {
     EXPECT_NEAR(varying.throughput[i], fixed.throughput[i],
                 1e-9 * std::max(1.0, fixed.throughput[i]));

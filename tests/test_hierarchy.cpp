@@ -1,7 +1,7 @@
 // Tests for the hierarchical flow-equivalent-server solver: exactness on
 // product-form meshes, the truncated-support approximation, prefix parity
 // (the engine's cache contract), partition validation, FES-profile
-// memoization through the scenario engine, the load-dependent oracle
+// memoization through the scenario engine, the convolution oracle
 // cross-check, and the graph/workmodel partition surfaces.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "convolution_oracle.hpp"
 #include "core/demand_model.hpp"
 #include "core/detail/hierarchy_engine.hpp"
 #include "core/mva_load_dependent.hpp"
@@ -223,7 +224,7 @@ TEST(Hierarchical, TierDetailReportsFesRowsWithSameSystemSeries) {
   EXPECT_NEAR(total, static_cast<double>(tiers.levels()) - thinking, 1e-6);
 }
 
-// --- oracle cross-check against the load-dependent recursion ---------------
+// --- oracle cross-check against Buzen's convolution ------------------------
 
 TEST(Hierarchical, MatchesHandBuiltLoadDependentOracle) {
   // Two-tier network with single-server remainder, so the oracle reduced
@@ -245,8 +246,8 @@ TEST(Hierarchical, MatchesHandBuiltLoadDependentOracle) {
   const auto profile = core::solve(sub.network, &sub.demands, sub.options);
 
   // Reduced network: the FES station (visits 1, service 1/X(1), rates
-  // X(j)/X(1)) plus the untouched single server — solved by the
-  // load-dependent recursion's profile overload (the oracle).
+  // X(j)/X(1)) plus the untouched single server — solved exactly by
+  // convolution (the oracle, which shares no code with the MVA kernels).
   const double x1 = profile.throughput[0];
   std::vector<double> alpha;
   for (unsigned j = 1; j <= n_max; ++j) {
@@ -256,7 +257,7 @@ TEST(Hierarchical, MatchesHandBuiltLoadDependentOracle) {
                          Station{"front", 1.0, 1, StationKind::kQueueing}},
                         0.5);
   const std::vector<double> service_times = {1.0 / x1, 0.004};
-  const auto oracle = core::load_dependent_mva(
+  const auto oracle = test_oracle::convolution_solve(
       reduced, service_times, std::vector<std::vector<double>>{alpha, {1.0}},
       n_max);
 
@@ -267,10 +268,18 @@ TEST(Hierarchical, MatchesHandBuiltLoadDependentOracle) {
 
   EXPECT_LT(max_rel_diff(fes.throughput, oracle.throughput), 1e-11);
   EXPECT_LT(max_rel_diff(fes.response_time, oracle.response_time), 1e-11);
-  for (std::size_t level = 0; level < oracle.levels(); ++level) {
-    EXPECT_NEAR(fes.queue(level, 0), oracle.queue(level, 0), 1e-9);
-    EXPECT_NEAR(fes.queue(level, 1), oracle.queue(level, 1), 1e-9);
+  for (std::size_t level = 0; level < fes.levels(); ++level) {
+    EXPECT_NEAR(fes.queue(level, 0), oracle.queue[level][0], 1e-9);
+    EXPECT_NEAR(fes.queue(level, 1), oracle.queue[level][1], 1e-9);
   }
+
+  // Aggregation is exact for product-form networks: the same answer as
+  // the convolution of the flat network.
+  const auto flat = test_oracle::convolution_solve(
+      network, std::vector<double>{0.02, 0.03, 0.004},
+      core::multiserver_profiles(network), n_max);
+  EXPECT_LT(max_rel_diff(fes.throughput, flat.throughput), 1e-11);
+  EXPECT_LT(max_rel_diff(fes.response_time, flat.response_time), 1e-11);
 }
 
 // --- validation ------------------------------------------------------------

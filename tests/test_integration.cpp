@@ -15,7 +15,6 @@
 #include "apps/vins.hpp"
 #include "common/stats.hpp"
 #include "core/demand_model.hpp"
-#include "core/mva_multiserver.hpp"
 #include "core/mvasd.hpp"
 #include "core/network.hpp"
 #include "core/prediction.hpp"
@@ -147,11 +146,11 @@ ReferenceResult reference_mvasd(const core::ClosedNetwork& network,
   const std::size_t k_count = network.size();
   ReferenceResult result;
   std::vector<double> queue(k_count, 0.0), residence(k_count, 0.0);
-  std::vector<std::vector<double>> p(k_count), p_next(k_count);
+  std::vector<std::vector<double>> p(k_count), p_new(k_count);
   for (std::size_t k = 0; k < k_count; ++k) {
     p[k].assign(network.station(k).servers, 0.0);
     p[k][0] = 1.0;
-    p_next[k].assign(network.station(k).servers, 0.0);
+    p_new[k].assign(network.station(k).servers, 0.0);
   }
   double previous_throughput = 0.0;
   std::vector<double> s_now(k_count, 0.0);
@@ -197,18 +196,18 @@ ReferenceResult reference_mvasd(const core::ClosedNetwork& network,
         } else {
           double weighted_tail = 0.0;
           for (unsigned j = st.servers - 1; j >= 1; --j) {
-            p_next[k][j] = xs * p[k][j - 1] / static_cast<double>(j);
-            weighted_tail += (c - static_cast<double>(j)) * p_next[k][j];
+            p_new[k][j] = xs * p[k][j - 1] / static_cast<double>(j);
+            weighted_tail += (c - static_cast<double>(j)) * p_new[k][j];
           }
           const double idle = c - xs;
           if (weighted_tail > idle && weighted_tail > 0.0) {
             const double scale = idle / weighted_tail;
-            for (unsigned j = 1; j < st.servers; ++j) p_next[k][j] *= scale;
-            p_next[k][0] = 0.0;
+            for (unsigned j = 1; j < st.servers; ++j) p_new[k][j] *= scale;
+            p_new[k][0] = 0.0;
           } else {
-            p_next[k][0] = (idle - weighted_tail) / c;
+            p_new[k][0] = (idle - weighted_tail) / c;
           }
-          std::swap(p[k], p_next[k]);
+          std::swap(p[k], p_new[k]);
         }
       }
     }

@@ -7,9 +7,10 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/demand_model.hpp"
 #include "core/mva_exact.hpp"
 #include "core/mva_multiclass.hpp"
-#include "core/mva_multiserver.hpp"
+#include "core/mvasd.hpp"
 #include "core/seidmann.hpp"
 #include "core/network.hpp"
 #include "core/solve.hpp"
@@ -206,7 +207,7 @@ TEST(Multiclass, SeidmannTransformEnablesMultiServerMulticlass) {
   const std::vector<CustomerClass> classes{
       {"only", 60, 1.0, t.service_times}};
   const auto mc = exact_mix(t.network, classes);
-  const auto exact = exact_multiserver_mva(net, demands, 60);
+  const auto exact = mvasd(net, DemandModel::constant(demands), 60);
   const double e = exact.throughput.back();
   EXPECT_NEAR(mc.class_x(top(mc), 0), e, 0.15 * e);  // Seidmann approximation
 }

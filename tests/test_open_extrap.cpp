@@ -8,10 +8,11 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/demand_model.hpp"
 #include "core/extrapolation.hpp"
 #include "core/mva_approx_multiserver.hpp"
 #include "core/mva_interval.hpp"
-#include "core/mva_multiserver.hpp"
+#include "core/mvasd.hpp"
 #include "core/network.hpp"
 #include "core/open_network.hpp"
 #include "interp/cubic_spline.hpp"
@@ -270,7 +271,7 @@ TEST(ApproxMultiserver, CloseToExactAcrossLoads) {
        Station{"disk", 1.0, 1, StationKind::kQueueing}},
       1.0);
   const std::vector<double> s{0.08, 0.012};
-  const auto exact = exact_multiserver_mva(net, s, 150);
+  const auto exact = mvasd(net, DemandModel::constant(s), 150);
   const auto approx = approx_multiserver_mva(net, s, 150);
   for (unsigned n : {1u, 10u, 40u, 100u, 150u}) {
     const double e = exact.throughput[exact.row_for(n)];
@@ -368,7 +369,7 @@ TEST(IntervalMva, DegenerateIntervalsMatchPointSolution) {
   const std::vector<double> d{0.08, 0.02};
   const auto intervals = intervals_around(d, 0.0);
   const auto banded = interval_mva(net, intervals, 50);
-  const auto point = exact_multiserver_mva(net, d, 50);
+  const auto point = mvasd(net, DemandModel::constant(d), 50);
   for (std::size_t i = 0; i < point.levels(); ++i) {
     EXPECT_DOUBLE_EQ(banded.optimistic.throughput[i], point.throughput[i]);
     EXPECT_DOUBLE_EQ(banded.pessimistic.throughput[i], point.throughput[i]);
@@ -383,7 +384,7 @@ TEST(IntervalMva, BandBracketsNominal) {
       1.0);
   const std::vector<double> d{0.08, 0.02};
   const auto banded = interval_mva(net, intervals_around(d, 0.10), 100);
-  const auto point = exact_multiserver_mva(net, d, 100);
+  const auto point = mvasd(net, DemandModel::constant(d), 100);
   for (unsigned n : {1u, 20u, 60u, 100u}) {
     const std::size_t i = point.row_for(n);
     EXPECT_LE(banded.pessimistic.throughput[i], point.throughput[i] + 1e-9);

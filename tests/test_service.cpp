@@ -14,7 +14,6 @@
 #include "apps/vins.hpp"
 #include "common/error.hpp"
 #include "core/mva_exact.hpp"
-#include "core/mva_multiserver.hpp"
 #include "core/mvasd.hpp"
 #include "core/prediction.hpp"
 #include "core/solve.hpp"
@@ -302,14 +301,6 @@ TEST(Engine, ConcurrentHammerStaysConsistent) {
   EXPECT_GT(metrics.hit_rate, 0.8);
 }
 
-TEST(Engine, RejectsCustomRateMultipliers) {
-  auto spec = basic_spec();
-  spec.options.solver = SolverKind::kLoadDependent;
-  spec.options.rates = {core::multiserver_rate(16), core::multiserver_rate(1)};
-  Engine engine(EngineOptions{.threads = 1});
-  EXPECT_THROW((void)engine.evaluate(spec), Error);
-}
-
 // ------------------------------------------------------------- multiclass
 
 /// A two-class mix over cpu+disk.  `heavy` is the fixed class; `light`
@@ -490,6 +481,40 @@ TEST(SolveFacade, ErrorsCarryStablePrefix) {
   }
 }
 
+TEST(SolveFacade, ShallowSolveIsAPrefixOfADeepSolve) {
+  // The engine serves a shallower request by trimming a cached deeper
+  // result (MvaResult::prefix), so every single-class kind must compute
+  // level n from levels below it only, bit for bit.  kHierarchical is left
+  // out: its FES support min(N, plateau) depends on the requested depth,
+  // so at tolerance 0 its station rows drift at rounding level and its
+  // tier-detail FES utilization differs outright (ROADMAP item 4).
+  const core::ClosedNetwork net(
+      {core::Station{"cpu", 1.0, 8, core::StationKind::kQueueing},
+       core::Station{"disk", 1.0, 1, core::StationKind::kQueueing},
+       core::Station{"db", 1.0, 4, core::StationKind::kQueueing},
+       core::Station{"lan", 1.0, 1, core::StationKind::kDelay}},
+      1.0);
+  const auto demands = DemandModel::constant({0.04, 0.012, 0.06, 0.01});
+  for (const auto kind :
+       {SolverKind::kExactSingleServer, SolverKind::kExactMultiserver,
+        SolverKind::kSchweitzer, SolverKind::kApproxMultiserver,
+        SolverKind::kLoadDependent, SolverKind::kMvasd,
+        SolverKind::kMvasdSingleServer, SolverKind::kSeidmann,
+        SolverKind::kSeidmannSchweitzer}) {
+    SCOPED_TRACE(core::solver_kind_name(kind));
+    const MvaResult deep = core::solve(net, demands, {kind, 150});
+    const MvaResult direct = core::solve(net, demands, {kind, 3});
+    const MvaResult trimmed = deep.prefix(3);
+    EXPECT_EQ(direct.population, trimmed.population);
+    EXPECT_EQ(direct.throughput, trimmed.throughput);
+    EXPECT_EQ(direct.response_time, trimmed.response_time);
+    EXPECT_EQ(direct.cycle_time, trimmed.cycle_time);
+    EXPECT_EQ(direct.station_queue, trimmed.station_queue);
+    EXPECT_EQ(direct.station_utilization, trimmed.station_utilization);
+    EXPECT_EQ(direct.station_residence, trimmed.station_residence);
+  }
+}
+
 TEST(SolveFacade, ConstantOnlySolversRejectVaryingDemands) {
   auto spec = spline_spec();
   spec.options.solver = SolverKind::kSchweitzer;
@@ -545,8 +570,9 @@ TEST_F(FacadeParity, VinsFixedMvaMatchesLegacy) {
   const auto spec =
       core::mva_fixed_scenario("MVA 203", vins_->table, kThink, 800, 203.0);
   const auto via_facade = core::solve(spec.network, spec.demands, spec.options);
-  const auto legacy = core::exact_multiserver_mva(
-      spec.network, vins_->table.demands_at_concurrency(203.0), 800);
+  const auto legacy = core::mvasd(
+      spec.network,
+      DemandModel::constant(vins_->table.demands_at_concurrency(203.0)), 800);
   expect_identical(via_facade, legacy, kTol);
 }
 

@@ -9,8 +9,9 @@
 #include <random>
 
 #include "common/error.hpp"
+#include "core/demand_model.hpp"
 #include "core/mva_exact.hpp"
-#include "core/mva_multiserver.hpp"
+#include "core/mvasd.hpp"
 #include "core/network.hpp"
 #include "sim/closed_network_sim.hpp"
 #include "sim/event_engine.hpp"
@@ -377,8 +378,7 @@ TEST(ClosedNetworkSim, MatchesMultiServerMvaWithMultiCoreStation) {
   const std::vector<SimVisit> flow{{0, 0.8}};
   const core::ClosedNetwork net(
       {core::Station{"cpu", 1.0, 4, core::StationKind::kQueueing}}, 1.0);
-  const auto mva =
-      core::exact_multiserver_mva(net, std::vector<double>{0.8}, 16);
+  const auto mva = core::mvasd(net, core::DemandModel::constant({0.8}), 16);
   for (unsigned n : {2u, 6u, 10u, 16u}) {
     SimOptions o = quick_options(n, 200 + n);
     o.measure_time = 800.0;
