@@ -189,21 +189,23 @@ Evaluation Engine::await_flight(const core::ScenarioSpec& spec,
     misses_.fetch_add(1, std::memory_order_relaxed);
     return solve_miss(spec, fp, {});
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
   coalesced_.fetch_add(1, std::memory_order_relaxed);
-  const unsigned want = spec.options.max_population;
-  Evaluation ev;
-  ev.label = spec.label;
-  ev.cache_hit = true;
+  Evaluation ev = serve_hit(spec, std::move(result));
   ev.coalesced = true;
-  if (result->levels() == want) {
-    ev.result = std::move(result);
-  } else {
-    prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-    ev.prefix_hit = true;
-    ev.result = std::make_shared<const core::MvaResult>(result->prefix(want));
-  }
   return ev;
+}
+
+Evaluation Engine::serve_hit(const core::ScenarioSpec& spec,
+                             std::shared_ptr<const core::MvaResult> cached) {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  const unsigned want = spec.options.max_population;
+  if (cached->levels() == want) {
+    return Evaluation{spec.label, std::move(cached), true, false, 0.0};
+  }
+  // Prefix hit: the result copy runs outside any shard lock.
+  prefix_hits_.fetch_add(1, std::memory_order_relaxed);
+  auto trimmed = std::make_shared<const core::MvaResult>(cached->prefix(want));
+  return Evaluation{spec.label, std::move(trimmed), true, true, 0.0};
 }
 
 std::shared_ptr<const core::MvaResult> Engine::lookup(const Fingerprint& fp,
@@ -335,15 +337,7 @@ Evaluation Engine::evaluate(const core::ScenarioSpec& spec) {
 
   GridLease lease;
   if (auto cached = lookup(fp, want, &lease)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (cached->levels() == want) {
-      return Evaluation{spec.label, std::move(cached), true, false, 0.0};
-    }
-    // Prefix hit: the result copy runs outside the shard lock.
-    prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-    auto trimmed =
-        std::make_shared<const core::MvaResult>(cached->prefix(want));
-    return Evaluation{spec.label, std::move(trimmed), true, true, 0.0};
+    return serve_hit(spec, std::move(cached));
   }
 
   std::shared_ptr<Flight> flight;
@@ -368,6 +362,16 @@ Evaluation Engine::evaluate(const core::ScenarioSpec& spec) {
   return solve_miss(spec, fp, std::move(lease));
 }
 
+std::optional<Evaluation> Engine::probe(const core::ScenarioSpec& spec,
+                                        const Fingerprint& fp) {
+  const unsigned want = spec.options.max_population;
+  MTPERF_REQUIRE(want >= 1, "population must be at least 1");
+  auto cached = lookup(fp, want, nullptr);
+  if (cached == nullptr) return std::nullopt;
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  return serve_hit(spec, std::move(cached));
+}
+
 std::future<Evaluation> Engine::submit(core::ScenarioSpec spec) {
   queue_depth_.fetch_add(1, std::memory_order_relaxed);
   return pool_->submit([this, spec = std::move(spec)]() mutable {
@@ -381,7 +385,20 @@ std::future<Evaluation> Engine::submit(core::ScenarioSpec spec) {
 
 std::vector<Evaluation> Engine::evaluate_batch(
     const std::vector<core::ScenarioSpec>& specs) {
+  std::vector<Fingerprint> fps;
+  fps.reserve(specs.size());
+  for (const core::ScenarioSpec& spec : specs) {
+    fps.push_back(fingerprint(spec));
+  }
+  return evaluate_batch(specs, fps);
+}
+
+std::vector<Evaluation> Engine::evaluate_batch(
+    const std::vector<core::ScenarioSpec>& specs,
+    const std::vector<Fingerprint>& fps) {
   const std::size_t n = specs.size();
+  MTPERF_REQUIRE(fps.size() == n,
+                 "evaluate_batch needs one fingerprint per spec");
   std::vector<Evaluation> out(n);
   if (n == 0) return out;
   queue_depth_.fetch_add(n, std::memory_order_relaxed);
@@ -403,14 +420,12 @@ std::vector<Evaluation> Engine::evaluate_batch(
     std::shared_ptr<Flight> flight;
     bool follower = false;
   };
-  std::vector<Fingerprint> fps(n);
   std::vector<std::size_t> rep_of(n);
   std::vector<Rep> reps;
   std::unordered_map<Fingerprint, std::size_t, FingerprintHash> rep_index;
   for (std::size_t i = 0; i < n; ++i) {
     MTPERF_REQUIRE(specs[i].options.max_population >= 1,
                    "population must be at least 1");
-    fps[i] = fingerprint(specs[i]);
     const auto [it, inserted] = rep_index.try_emplace(fps[i], reps.size());
     if (inserted) {
       reps.push_back(Rep{i, fps[i], {}, {}, nullptr, false});
@@ -433,15 +448,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
     const core::ScenarioSpec& spec = specs[rep.spec_index];
     const unsigned want = spec.options.max_population;
     if (auto cached = lookup(rep.fp, want, &rep.lease)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (cached->levels() == want) {
-        rep.eval = Evaluation{spec.label, std::move(cached), true, false, 0.0};
-      } else {
-        prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-        auto trimmed =
-            std::make_shared<const core::MvaResult>(cached->prefix(want));
-        rep.eval = Evaluation{spec.label, std::move(trimmed), true, true, 0.0};
-      }
+      rep.eval = serve_hit(spec, std::move(cached));
       continue;
     }
     switch (join_or_lead(rep.fp, want, &rep.flight)) {
@@ -623,16 +630,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
       out[i].label = specs[i].label;
       continue;
     }
-    const unsigned want = specs[i].options.max_population;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (rep.eval.result->levels() == want) {
-      out[i] = Evaluation{specs[i].label, rep.eval.result, true, false, 0.0};
-    } else {
-      prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-      auto trimmed = std::make_shared<const core::MvaResult>(
-          rep.eval.result->prefix(want));
-      out[i] = Evaluation{specs[i].label, std::move(trimmed), true, true, 0.0};
-    }
+    out[i] = serve_hit(specs[i], rep.eval.result);
   }
   return out;
 }

@@ -47,6 +47,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -155,6 +156,21 @@ class Engine final : public core::ScenarioEvaluator {
   std::vector<Evaluation> evaluate_batch(
       const std::vector<core::ScenarioSpec>& specs);
 
+  /// evaluate_batch for a caller that already fingerprinted the specs:
+  /// `fps[i]` must be fingerprint(specs[i]).
+  std::vector<Evaluation> evaluate_batch(
+      const std::vector<core::ScenarioSpec>& specs,
+      const std::vector<Fingerprint>& fps);
+
+  /// Cache probe alone, for a caller that already fingerprinted `spec`
+  /// (`fp` must be fingerprint(spec)).  An exact or prefix hit returns the
+  /// Evaluation evaluate() would give and counts the request and the hit
+  /// as evaluate() does.  A miss returns nothing and counts nothing: the
+  /// caller goes on to evaluate the spec, which counts it then.  Neither
+  /// joins nor registers an in-flight solve.
+  std::optional<Evaluation> probe(const core::ScenarioSpec& spec,
+                                  const Fingerprint& fp);
+
   /// core::run_scenarios through this engine: parallel, cached, and
   /// returning the familiar LabeledResult rows (results copied out).
   std::vector<core::LabeledResult> run_scenarios(
@@ -202,6 +218,12 @@ class Engine final : public core::ScenarioEvaluator {
   };
 
   Shard& shard_for(const Fingerprint& fp) const noexcept;
+
+  /// Serve `spec` from a cached result covering its depth: share it when
+  /// the depth matches, else trim it (a prefix hit).  Counts the hit.
+  Evaluation serve_hit(const core::ScenarioSpec& spec,
+                       std::shared_ptr<const core::MvaResult> cached);
+
   void record_solve_ms(double ms);
   void record_batch_block(std::size_t lanes);
 

@@ -211,6 +211,9 @@ class Parser {
   std::size_t depth_ = 0;
 };
 
+/// 2^53: every whole double up to this magnitude is an exact integer.
+constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+
 }  // namespace
 
 void append_json_number(std::string& out, double d) {
@@ -219,18 +222,28 @@ void append_json_number(std::string& out, double d) {
     return;
   }
   char buf[32];
+  // Whole numbers print as plain integers ("100000", not the shorter
+  // "1e+05"), so an integer id echoes digit for digit.  Both zeros keep
+  // the double form ("0", "-0").
+  if (d != 0.0 && std::fabs(d) <= static_cast<double>(kMaxExactInteger)) {
+    const auto whole = static_cast<long long>(d);
+    if (static_cast<double>(whole) == d) {
+      const char* end = std::to_chars(buf, buf + sizeof buf, whole).ptr;
+      out.append(buf, static_cast<std::size_t>(end - buf));
+      return;
+    }
+  }
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, d);
   out.append(buf, ec == std::errc() ? static_cast<std::size_t>(end - buf) : 0);
 }
 
 void append_json_count(std::string& out, std::uint64_t n) {
-  // Up to 99999 the shortest double form is the integer itself (10000 ties
-  // "1e+04" on length, and to_chars breaks ties toward fixed notation).
-  if (n >= 100000) {
+  // Past 2^53 the double append_json_number sees is rounded; match it.
+  if (n > kMaxExactInteger) {
     append_json_number(out, static_cast<double>(n));
     return;
   }
-  char buf[8];
+  char buf[20];
   const char* end = std::to_chars(buf, buf + sizeof buf, n).ptr;
   out.append(buf, static_cast<std::size_t>(end - buf));
 }

@@ -90,18 +90,17 @@ class Json {
 // writers (service/request.cpp's response lines) emit the same bytes a
 // Json DOM would without building one.
 
-/// Shortest round-trip form (std::to_chars); Inf and NaN print as null,
-/// since JSON has neither.
+/// Whole numbers with |d| <= 2^53 (except -0) as plain integers
+/// ("100000"); everything else in shortest round-trip form
+/// (std::to_chars).  Inf and NaN print as null, since JSON has neither.
 void append_json_number(std::string& out, double d);
 
 /// Quoted string with JSON escapes; other control characters as \u00xx.
 void append_json_string(std::string& out, std::string_view s);
 
 /// A count (population, server total) in exactly the bytes
-/// append_json_number(out, double(n)) gives.  Below 100000 that is the
-/// plain integer, written by the integer formatter; from 100000 on the
-/// double formatter may pick an exponent form ("1e+05"), so those values
-/// go through it.
+/// append_json_number(out, double(n)) gives, written by the integer
+/// formatter up to 2^53.
 void append_json_count(std::string& out, std::uint64_t n);
 
 }  // namespace mtperf::service

@@ -34,8 +34,9 @@
 // The optional "id" comes back on the matching response (results may
 // return out of request order on the socket transport, where requests
 // from many connections are micro-batched together).  It is the same JSON
-// value, not the same bytes: ids are parsed and re-serialized, so numbers
-// come back in shortest round-trip form ("1.50" as 1.5, "1e2" as 100) and
+// value, not the same bytes: ids are parsed and re-serialized, so whole
+// numbers up to 2^53 come back as plain integers ("1e2" as 100, 100000 as
+// 100000), other numbers in shortest round-trip form ("1.50" as 1.5), and
 // integers are exact only up to 2^53 (9007199254740993 comes back as
 // 9007199254740992).  Strings, objects and arrays round-trip by value.
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -28,6 +29,7 @@ struct Server::Connection {
 struct Server::Pending {
   std::shared_ptr<Connection> conn;
   core::ScenarioSpec spec;
+  Fingerprint fp;  ///< computed once, by the reader that probed the cache
   bool series = false;
   Json id;
 };
@@ -46,6 +48,12 @@ namespace {
 /// A buffer that grew past this (a very deep series answer) gives its
 /// memory back instead of holding it for the server's lifetime.
 constexpr std::size_t kMaxRetainedResponseBytes = std::size_t{4} << 20;
+
+void release_if_oversized(std::string& buffer) {
+  if (buffer.capacity() > kMaxRetainedResponseBytes) {
+    std::string().swap(buffer);
+  }
+}
 
 }  // namespace
 
@@ -184,9 +192,31 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
       }
       case RequestKind::kScenario: {
         requests_.fetch_add(1, std::memory_order_relaxed);
-        // Admission control: cap this connection's unanswered requests,
-        // then try the bounded queue.  Either failure is a fast
-        // rejection — the request never reaches the engine.
+        // Cache hits are answered here and never queue, so they cannot
+        // wait behind cold solves.  The fingerprint is computed once and
+        // rides with a miss to the batcher.
+        Fingerprint fp;
+        std::optional<Evaluation> hit;
+        try {
+          fp = fingerprint(request.spec);
+          hit = engine_->probe(request.spec, fp);
+        } catch (const std::exception& e) {
+          out.clear();
+          append_error(out, e.what(), request.id);
+          respond(*conn, out);
+          break;
+        }
+        if (hit) {
+          reader_hits_.fetch_add(1, std::memory_order_relaxed);
+          out.clear();
+          append_evaluation(out, *hit, request.series, request.id);
+          respond(*conn, out);
+          release_if_oversized(out);
+          break;
+        }
+        // A miss goes through admission control: cap this connection's
+        // unanswered requests, then try the bounded queue.  Either failure
+        // is a fast rejection — the request never reaches the engine.
         if (conn->in_flight.load(std::memory_order_relaxed) >=
             options_.max_inflight_per_conn) {
           rejected_inflight_.fetch_add(1, std::memory_order_relaxed);
@@ -196,7 +226,7 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
           break;
         }
         conn->in_flight.fetch_add(1, std::memory_order_relaxed);
-        Pending pending{conn, std::move(request.spec), request.series,
+        Pending pending{conn, std::move(request.spec), fp, request.series,
                         std::move(request.id)};
         if (!queue_->try_push(std::move(pending))) {
           conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
@@ -251,12 +281,17 @@ void Server::flush_batch(std::vector<Pending>& batch,
                          std::vector<ConnectionBuffer>& buffers) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   std::vector<core::ScenarioSpec> specs;
+  std::vector<Fingerprint> fps;
   specs.reserve(batch.size());
-  for (Pending& p : batch) specs.push_back(std::move(p.spec));
+  fps.reserve(batch.size());
+  for (Pending& p : batch) {
+    specs.push_back(std::move(p.spec));
+    fps.push_back(p.fp);
+  }
 
   std::vector<Evaluation> evaluations;
   try {
-    evaluations = engine_->evaluate_batch(specs);
+    evaluations = engine_->evaluate_batch(specs, fps);
   } catch (const std::exception& e) {
     // The engine settles per-spec failures internally; reaching here means
     // the whole batch failed.  Answer every request so no client hangs.
@@ -290,9 +325,7 @@ void Server::flush_batch(std::vector<Pending>& batch,
   }
   for (std::size_t b = 0; b < used; ++b) {
     respond(*buffers[b].conn, buffers[b].bytes, buffers[b].lines);
-    if (buffers[b].bytes.capacity() > kMaxRetainedResponseBytes) {
-      std::string().swap(buffers[b].bytes);
-    }
+    release_if_oversized(buffers[b].bytes);
   }
   for (Pending& p : batch) {
     p.conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
@@ -303,6 +336,7 @@ ServerMetrics Server::metrics() const {
   ServerMetrics m;
   m.connections = connections_accepted_.load(std::memory_order_relaxed);
   m.requests = requests_.load(std::memory_order_relaxed);
+  m.reader_hits = reader_hits_.load(std::memory_order_relaxed);
   m.accepted = accepted_.load(std::memory_order_relaxed);
   m.rejected_overloaded =
       rejected_overloaded_.load(std::memory_order_relaxed);
@@ -322,6 +356,7 @@ Json Server::server_metrics_json() const {
   Json::Object server;
   server["connections"] = static_cast<unsigned long long>(m.connections);
   server["requests"] = static_cast<unsigned long long>(m.requests);
+  server["reader_hits"] = static_cast<unsigned long long>(m.reader_hits);
   server["accepted"] = static_cast<unsigned long long>(m.accepted);
   server["rejected_overloaded"] =
       static_cast<unsigned long long>(m.rejected_overloaded);

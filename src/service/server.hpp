@@ -1,15 +1,23 @@
 // The socket transport of mtperf_serve: a micro-batching TCP front end
 // over service::Engine, shaped like an inference-serving pipeline —
 //
-//   accept loop ──> per-connection reader threads ──> bounded submission
-//   queue ──> micro-batcher ──> Engine::evaluate_batch ──> per-connection
-//   ordered writes
+//   accept loop ──> per-connection reader threads: parse, fingerprint,
+//                   Engine::probe
+//                     ├─ hit ──> answered and written by the reader
+//                     └─ miss ─> bounded submission queue ──> micro-batcher
+//                                ──> Engine::evaluate_batch
+//                                ──> per-connection grouped writes
 //
 // Readers parse line-delimited JSON requests (service/request.hpp) off
-// their connection and try_push them into a bounded MPMC queue.  The
-// batcher drains the queue under a size-or-deadline trigger — flush when
-// kMaxBatch requests are pending or the oldest has waited batch_deadline —
-// and hands each batch to Engine::evaluate_batch, where fingerprint dedup,
+// their connection, fingerprint each scenario once, and probe the cache.
+// An exact or prefix hit is serialized and written by the reader itself,
+// so hits never wait behind cold solves, a flush deadline, or the
+// batcher's serialization of other answers — the three-tier-with-cache
+// lesson: hits shield the downstream queues.  Only misses are pushed,
+// with their fingerprint, into a bounded MPMC queue.  The batcher drains
+// the queue under a size-or-deadline trigger — flush when kMaxBatch
+// requests are pending or the oldest has waited batch_deadline — and
+// hands each batch to Engine::evaluate_batch, where fingerprint dedup,
 // single-flight coalescing, and the lane-major lockstep kernel turn the
 // batch into as few full 16-lane solves as possible.
 //
@@ -19,10 +27,17 @@
 //   * the submission queue is bounded — when it is full the reader answers
 //     {"error":"overloaded"} immediately, without parsing a spec into the
 //     pipeline;
-//   * each connection has an in-flight cap, so one client cannot occupy
-//     the whole queue;
-//   * responses carry the request's "id", because micro-batching across
-//     connections reorders completions.
+//   * each connection has an in-flight cap on admitted misses, so one
+//     client cannot occupy the whole queue (hits, answered on the spot,
+//     are not capped);
+//   * responses carry the request's "id", because hits overtake queued
+//     misses and micro-batching across connections reorders completions.
+//
+// Every write is a blocking send under the connection's write mutex.  A
+// client that pipelines requests without reading its answers therefore
+// stalls its own reader once the socket buffers fill — TCP backpressure on
+// that one connection; a client that pipelines more than the buffers hold
+// must read concurrently.
 //
 // Metrics ({"cmd":"metrics"}) answer from the reader thread without
 // touching the batch path — the engine's counters are lock-free to read.
@@ -53,7 +68,7 @@ struct ServerOptions {
   std::chrono::microseconds batch_deadline{2000};
   /// Bounded submission queue; a full queue fast-rejects ("overloaded").
   std::size_t queue_capacity = 1024;
-  /// Per-connection in-flight cap (accepted but unanswered requests).
+  /// Per-connection in-flight cap (admitted but unanswered misses).
   std::size_t max_inflight_per_conn = 256;
   /// Concurrent micro-batcher threads draining the queue.
   std::size_t batchers = 1;
@@ -64,7 +79,8 @@ struct ServerOptions {
 struct ServerMetrics {
   std::uint64_t connections = 0;  ///< accepted so far
   std::uint64_t requests = 0;     ///< parsed scenario requests
-  std::uint64_t accepted = 0;     ///< admitted to the submission queue
+  std::uint64_t reader_hits = 0;  ///< cache hits answered before admission
+  std::uint64_t accepted = 0;     ///< misses admitted to the queue
   std::uint64_t rejected_overloaded = 0;  ///< shed: queue full
   std::uint64_t rejected_inflight = 0;    ///< shed: per-conn cap
   std::uint64_t parse_errors = 0;
@@ -135,6 +151,7 @@ class Server final {
 
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> requests_{0};
+  std::atomic<std::uint64_t> reader_hits_{0};
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> rejected_overloaded_{0};
   std::atomic<std::uint64_t> rejected_inflight_{0};

@@ -81,6 +81,14 @@ std::string spec_request(std::uint64_t id, double demand_scale,
   return Json(std::move(request)).dump() + "\n";
 }
 
+/// spec_request with "series":true.
+std::string series_request(std::uint64_t id, double demand_scale,
+                           unsigned population) {
+  std::string line = spec_request(id, demand_scale, population);
+  line.insert(line.size() - 2, ",\"series\":true");
+  return line;
+}
+
 // --- BoundedQueue ----------------------------------------------------------
 
 TEST(BoundedQueue, TryPushShedsWhenFull) {
@@ -614,7 +622,7 @@ TEST(ResponseWriter, EvaluationBytesMatchTheJsonDom) {
       "{\"name\":\"buy\",\"population\":0,\"demands\":[0.002,0.030]}]}");
   evaluations.push_back(engine.evaluate(mix.spec));
   // Hand-built: non-finite values, counts on both sides of 100000 (where
-  // the double formatter switches to "1e+05"), escapes and control
+  // to_chars alone would switch to "1e+05"), escapes and control
   // characters in names, a repeated station name (the DOM keeps the last).
   service::Evaluation odd;
   odd.label = "quote\" back\\slash \t\n\x01\x1f \xc3\xa9 </x>";
@@ -691,7 +699,7 @@ TEST(ResponseWriter, ScalarFormattersKeepTheirBytes) {
     service::append_json_number(numbers, d);
     numbers.push_back(' ');
   }
-  EXPECT_EQ(numbers, "0.1 -2.5 1e+21 1e-07 1e+05 null null ");
+  EXPECT_EQ(numbers, "0.1 -2.5 1e+21 1e-07 100000 null null ");
 
   for (const std::uint64_t n :
        {0ull, 1ull, 9ull, 10ull, 99ull, 1000ull, 9999ull, 10000ull, 12345ull,
@@ -704,7 +712,32 @@ TEST(ResponseWriter, ScalarFormattersKeepTheirBytes) {
   }
   std::string big;
   service::append_json_count(big, 100000);
-  EXPECT_EQ(big, "1e+05");
+  EXPECT_EQ(big, "100000");
+}
+
+TEST(ResponseWriter, WholeNumbersPrintAsIntegers) {
+  // Whole numbers up to 2^53 print as their digits, so integer ids echo
+  // exactly; larger magnitudes, fractions and both zeros keep the
+  // shortest round-trip form.
+  const std::pair<double, const char*> cases[] = {
+      {100000.0, "100000"},
+      {200000.0, "200000"},
+      {1000000.0, "1000000"},
+      {-120000.0, "-120000"},
+      {1e15, "1000000000000000"},
+      {9007199254740992.0, "9007199254740992"},
+      {-9007199254740992.0, "-9007199254740992"},
+      {123456.5, "123456.5"},
+      {1e21, "1e+21"},
+      {0.0, "0"},
+      {-0.0, "-0"},
+  };
+  for (const auto& [value, text] : cases) {
+    std::string out;
+    service::append_json_number(out, value);
+    EXPECT_EQ(out, text) << value;
+  }
+  EXPECT_EQ(Json::parse("{\"id\":100000}").dump(), "{\"id\":100000}");
 }
 
 // --- single-flight dedup ---------------------------------------------------
@@ -991,10 +1024,8 @@ TEST(SocketServer, ClientDisconnectMidResponseDropsConnectionNotServer) {
     Socket rude = connect_tcp(server.port());
     ASSERT_TRUE(rude.valid());
     for (std::uint64_t i = 0; i < 48; ++i) {
-      std::string line =
-          spec_request(i, 1.0 + 0.01 * static_cast<double>(i), 2000);
-      line.insert(line.size() - 2, ",\"series\":true");
-      ASSERT_TRUE(rude.send_all(line));
+      ASSERT_TRUE(rude.send_all(
+          series_request(i, 1.0 + 0.01 * static_cast<double>(i), 2000)));
     }
     rude.close();  // gone before the first response can flush
   }
@@ -1039,6 +1070,160 @@ TEST(SocketServer, StopAnswersAllAdmittedWork) {
   }
   stopper.join();
   EXPECT_GE(answered, 1u);
+}
+
+/// Read exactly `n` raw response lines (without the '\n').
+std::vector<std::string> read_lines(Socket& sock, std::size_t n) {
+  std::vector<std::string> lines;
+  LineReader reader(sock);
+  std::string line;
+  while (lines.size() < n && reader.next_line(line)) lines.push_back(line);
+  return lines;
+}
+
+TEST(SocketServer, IntegerIdsEchoAsTheSameDigits) {
+  service::ServerOptions options;
+  options.port = 0;
+  options.batch_deadline = std::chrono::microseconds(200);
+  service::Server server(options);
+  server.start();
+  Socket sock = connect_tcp(server.port());
+  // The first request of a structure is a miss, answered by the batcher;
+  // repeats are hits, answered by the reader.  Both echo the id digits.
+  for (const std::uint64_t id : {100000ull, 200000ull, 1000000ull}) {
+    ASSERT_TRUE(sock.send_all(spec_request(id, 1.0, 100)));
+    const std::vector<std::string> lines = read_lines(sock, 1);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("\"id\":" + std::to_string(id) + ","),
+              std::string::npos)
+        << lines[0];
+  }
+  server.stop();
+}
+
+TEST(SocketServer, HitsAnswerWhileTheBatcherIsBusy) {
+  service::ServerOptions options;
+  options.port = 0;
+  options.max_batch = 1;
+  options.batch_deadline = std::chrono::microseconds(100);
+  options.engine.threads = 1;
+  service::Server server(options);
+  server.start();
+  Socket sock = connect_tcp(server.port());
+  ASSERT_TRUE(exchange(sock, {spec_request(1, 1.0, 200)}, 1).count(1));
+
+  // A slow cold solve, then a hit for the warm structure, in one write:
+  // the hit must not wait for the solve ahead of it.
+  ASSERT_TRUE(sock.send_all(spec_request(2, 7.0, 12000) +
+                            spec_request(3, 1.0, 200)));
+  const std::vector<std::string> lines = read_lines(sock, 2);
+  ASSERT_EQ(lines.size(), 2u);
+  const Json first = Json::parse(lines[0]);
+  const Json second = Json::parse(lines[1]);
+  EXPECT_EQ(first.at("id").as_number(), 3.0);
+  EXPECT_TRUE(first.at("cache_hit").as_bool());
+  EXPECT_EQ(second.at("id").as_number(), 2.0);
+  EXPECT_FALSE(second.at("cache_hit").as_bool());
+  server.stop();
+}
+
+TEST(SocketServer, ReaderHitsAreCountedAndSkipTheQueue) {
+  service::ServerOptions options;
+  options.port = 0;
+  options.batch_deadline = std::chrono::microseconds(200);
+  service::Server server(options);
+  server.start();
+  Socket sock = connect_tcp(server.port());
+  // One miss, then an exact hit and a prefix hit, one at a time.
+  ASSERT_TRUE(exchange(sock, {spec_request(1, 1.0, 300)}, 1).count(1));
+  const auto exact = exchange(sock, {spec_request(2, 1.0, 300)}, 1);
+  ASSERT_TRUE(exact.count(2));
+  EXPECT_TRUE(exact.at(2).at("cache_hit").as_bool());
+  EXPECT_FALSE(exact.at(2).at("prefix_hit").as_bool());
+  const auto prefix = exchange(sock, {spec_request(3, 1.0, 150)}, 1);
+  ASSERT_TRUE(prefix.count(3));
+  EXPECT_TRUE(prefix.at(3).at("prefix_hit").as_bool());
+
+  const service::EngineMetrics engine = server.engine().metrics();
+  EXPECT_EQ(engine.requests, 3u);
+  EXPECT_EQ(engine.hits, 2u);
+  EXPECT_EQ(engine.prefix_hits, 1u);
+  EXPECT_EQ(engine.misses, 1u);
+  const service::ServerMetrics metrics = server.metrics();
+  EXPECT_EQ(metrics.requests, 3u);
+  EXPECT_EQ(metrics.reader_hits, 2u);
+  EXPECT_EQ(metrics.accepted, 1u);  // only the miss was queued
+  EXPECT_EQ(metrics.batches, 1u);
+
+  const auto line = exchange(sock, {"{\"id\":9,\"cmd\":\"metrics\"}\n"}, 1);
+  ASSERT_TRUE(line.count(9));
+  EXPECT_EQ(line.at(9).at("server").at("reader_hits").as_number(), 2.0);
+  EXPECT_EQ(line.at(9).at("metrics").at("cache_hits").as_number(), 2.0);
+  server.stop();
+}
+
+TEST(SocketServer, ReaderHitBytesMatchEngineEvaluate) {
+  service::ServerOptions options;
+  options.port = 0;
+  options.batch_deadline = std::chrono::microseconds(200);
+  service::Server server(options);
+  server.start();
+  Socket sock = connect_tcp(server.port());
+  ASSERT_TRUE(exchange(sock, {series_request(1, 1.0, 400)}, 1).count(1));
+  // Exact and prefix hits, with and without the series.
+  const std::string requests[] = {
+      series_request(2, 1.0, 400),
+      spec_request(3, 1.0, 400),
+      series_request(4, 1.0, 250),
+      spec_request(5, 1.0, 30),
+  };
+  for (const std::string& request : requests) {
+    ASSERT_TRUE(sock.send_all(request));
+    const std::vector<std::string> lines = read_lines(sock, 1);
+    ASSERT_EQ(lines.size(), 1u);
+    const service::ParsedRequest parsed = service::parse_request(request);
+    const service::Evaluation evaluation =
+        server.engine().evaluate(parsed.spec);
+    ASSERT_TRUE(evaluation.cache_hit);
+    std::string expected;
+    service::append_evaluation(expected, evaluation, parsed.series,
+                               parsed.id);
+    EXPECT_EQ(lines[0] + "\n", expected) << request;
+  }
+  EXPECT_EQ(server.metrics().reader_hits, 4u);
+  server.stop();
+}
+
+TEST(SocketServer, PipelinedSeriesHitsAreAllAnswered) {
+  service::ServerOptions options;
+  options.port = 0;
+  options.batch_deadline = std::chrono::microseconds(200);
+  service::Server server(options);
+  server.start();
+  Socket sock = connect_tcp(server.port());
+  ASSERT_TRUE(exchange(sock, {series_request(0, 1.0, 300)}, 1).count(0));
+
+  // Every request is sent before the first answer is read.
+  constexpr std::uint64_t kHits = 256;
+  std::string burst;
+  for (std::uint64_t i = 1; i <= kHits; ++i) {
+    burst += series_request(i, 1.0, 100 + static_cast<unsigned>(i % 200));
+  }
+  ASSERT_TRUE(sock.send_all(burst));
+  const std::vector<std::string> lines = read_lines(sock, kHits);
+  ASSERT_EQ(lines.size(), kHits);
+  std::vector<bool> seen(kHits + 1, false);
+  for (const std::string& line : lines) {
+    const Json response = Json::parse(line);
+    ASSERT_TRUE(response.contains("throughput_series")) << line;
+    const auto id = static_cast<std::uint64_t>(response.at("id").as_number());
+    ASSERT_GE(id, 1u);
+    ASSERT_LE(id, kHits);
+    EXPECT_FALSE(seen[id]) << "duplicate id " << id;
+    seen[id] = true;
+  }
+  EXPECT_EQ(server.metrics().reader_hits, kHits);
+  server.stop();
 }
 
 }  // namespace

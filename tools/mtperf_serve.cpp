@@ -9,11 +9,13 @@
 //   socket (--port): a micro-batching TCP server (service/server.hpp).
 //   Announces readiness on stdout as {"listening":{"port":N}} — with
 //   --port 0 the kernel picks the port and N reports it — then serves
-//   until a client sends {"cmd":"shutdown"}.  Requests from all
-//   connections are micro-batched into Engine::evaluate_batch; responses
-//   may return out of request order, matched by the echoed "id".  When
-//   the bounded submission queue or a connection's in-flight cap is full
-//   the server sheds with an immediate {"error":"overloaded"} line —
+//   until a client sends {"cmd":"shutdown"}.  Cache hits are answered
+//   by the connection's reader thread as soon as they are parsed; misses
+//   from all connections are micro-batched into Engine::evaluate_batch.
+//   Responses may return out of request order, matched by the echoed
+//   "id".  When the bounded submission queue or a connection's in-flight
+//   cap on misses is full the server sheds with an immediate
+//   {"error":"overloaded"} line —
 //
 //     $ ./tools/mtperf_serve --port 7171 --batch-size 64 \
 //         --batch-deadline-us 2000 --queue-capacity 1024
