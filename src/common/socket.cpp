@@ -174,13 +174,25 @@ void ignore_sigpipe() noexcept {}
 
 namespace mtperf {
 
+void LineReader::take(std::string& line, const std::string& s,
+                      std::size_t from, std::size_t to) {
+  if (too_long_) return;
+  if (max_line_ != 0 && line.size() + (to - from) > max_line_) {
+    too_long_ = true;
+    line.clear();
+    return;
+  }
+  line.append(s, from, to - from);
+}
+
 bool LineReader::next_line(std::string& line) {
   line.clear();
+  too_long_ = false;
   for (;;) {
     // Scan the buffered tail for a newline.
     const std::size_t nl = buffer_.find('\n', pos_);
     if (nl != std::string::npos) {
-      line.append(buffer_, pos_, nl - pos_);
+      take(line, buffer_, pos_, nl);
       pos_ = nl + 1;
       if (pos_ == buffer_.size()) {
         buffer_.clear();
@@ -189,7 +201,7 @@ bool LineReader::next_line(std::string& line) {
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return true;
     }
-    line.append(buffer_, pos_, buffer_.size() - pos_);
+    take(line, buffer_, pos_, buffer_.size());
     buffer_.clear();
     pos_ = 0;
 
@@ -197,7 +209,7 @@ bool LineReader::next_line(std::string& line) {
     const long n = socket_->recv_some(chunk, sizeof chunk);
     if (n <= 0) {
       // EOF/error: surface a final unterminated line if one is pending.
-      return !line.empty();
+      return !line.empty() || too_long_;
     }
     buffer_.assign(chunk, static_cast<std::size_t>(n));
   }

@@ -90,18 +90,34 @@ void ignore_sigpipe() noexcept;
 /// Buffered '\n'-delimited reader over a Socket, reusing one internal
 /// buffer across lines (no per-line allocation once warm).  Strips the
 /// trailing '\n' and an optional '\r'.
+///
+/// A reader given a `max_line` keeps at most that many bytes of a line:
+/// a longer line is read and discarded through its '\n', and comes back
+/// empty with too_long() set, so a peer that never sends a newline cannot
+/// grow the buffer without bound.  0 (the default) means no limit.
 class LineReader {
  public:
-  explicit LineReader(Socket& socket) : socket_(&socket) {}
+  explicit LineReader(Socket& socket, std::size_t max_line = 0)
+      : socket_(&socket), max_line_(max_line) {}
 
   /// Read the next line into `line` (contents replaced, capacity reused).
   /// False on EOF/error with no buffered line left.
   bool next_line(std::string& line);
 
+  /// The line the last next_line() returned ran past max_line and was
+  /// discarded.
+  bool too_long() const noexcept { return too_long_; }
+
  private:
+  /// Append s[from, to) to `line`, or drop it once the line is too long.
+  void take(std::string& line, const std::string& s, std::size_t from,
+            std::size_t to);
+
   Socket* socket_;
+  std::size_t max_line_;
   std::string buffer_;
   std::size_t pos_ = 0;
+  bool too_long_ = false;
 };
 
 }  // namespace mtperf

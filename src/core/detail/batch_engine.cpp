@@ -169,9 +169,10 @@ struct LevelView {
 // host supports at load time — the binary stays portable, the hot loops
 // still get ymm/zmm vectors on hosts that have them.  With -ffp-contract
 // off, every clone executes the same IEEE op sequence, so the pick cannot
-// change results.
+// change results.  ThreadSanitizer builds go without: the ifunc
+// resolvers run before the TSan runtime starts and crash the binary.
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__ELF__)
+    defined(__ELF__) && !defined(__SANITIZE_THREAD__)
 #define MTPERF_ISA_CLONES \
   __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
 #else

@@ -55,8 +55,9 @@ namespace mtperf::core::detail {
 #define MTPERF_MC_SIMD
 #endif
 
+// No clones under ThreadSanitizer, as in batch_engine.cpp.
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__ELF__)
+    defined(__ELF__) && !defined(__SANITIZE_THREAD__)
 #define MTPERF_MC_ISA_CLONES \
   __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
 #else

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <exception>
 #include <functional>
 #include <list>
@@ -14,6 +15,7 @@
 #include "core/detail/batch_engine.hpp"
 #include "core/detail/hierarchy_engine.hpp"
 #include "core/detail/multiclass_batch_engine.hpp"
+#include "service/json.hpp"
 
 namespace mtperf::service {
 
@@ -26,6 +28,8 @@ namespace {
 struct CacheEntry {
   Fingerprint key;
   std::shared_ptr<const core::MvaResult> result;
+  /// The series bytes of `result`, rendered on the first series hit.
+  std::shared_ptr<const SeriesRender> series;
   /// Deepen-reuse state: the tabulated grid of the deepest solve plus the
   /// DemandModel copy it borrows.  Null unless the structure is
   /// grid-cacheable (see grid_cacheable below).
@@ -77,7 +81,145 @@ bool class_grid_cacheable(const core::ScenarioSpec& spec) {
   return varying;
 }
 
+/// Bytes of "1,2,…,n": n counts and n - 1 commas.
+std::size_t counting_bytes(std::size_t n) {
+  if (n == 0) return 0;
+  std::size_t bytes = n - 1;
+  std::size_t width = 1;
+  for (std::size_t lo = 1; lo <= n; lo *= 10, ++width) {
+    bytes += (std::min(n, lo * 10 - 1) - lo + 1) * width;
+  }
+  return bytes;
+}
+
+/// The process-wide "1,2,…,m" string with m >= n, which every render of a
+/// canonical population slices.  It grows by at least doubling; renders
+/// keep the version they sliced alive.
+std::shared_ptr<const std::string> counting_digits(std::size_t n) {
+  static std::mutex mutex;
+  static std::shared_ptr<const std::string> digits;
+  static std::size_t covered = 0;
+  std::lock_guard<std::mutex> lock(mutex);
+  if (covered < n) {
+    const std::size_t m = std::max(n, 2 * covered);
+    auto grown = std::make_shared<std::string>();
+    grown->reserve(counting_bytes(m));
+    for (std::size_t i = 1; i <= m; ++i) {
+      if (i != 1) grown->push_back(',');
+      append_json_count(*grown, i);
+    }
+    digits = std::move(grown);
+    covered = m;
+  }
+  return digits;
+}
+
+bool canonical_population(const core::MvaResult& r) {
+  for (std::size_t i = 0; i < r.levels(); ++i) {
+    if (r.population[i] != i + 1) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+SeriesRender::SeriesRender(std::shared_ptr<const core::MvaResult> result,
+                           std::shared_ptr<SeriesRenderStats> stats)
+    : result_(std::move(result)), stats_(std::move(stats)) {
+  MTPERF_REQUIRE(result_ != nullptr, "series render needs a result");
+}
+
+SeriesRender::~SeriesRender() {
+  if (stats_ != nullptr && storage_bytes_ != 0) {
+    stats_->bytes.fetch_sub(storage_bytes_, std::memory_order_relaxed);
+  }
+}
+
+void SeriesRender::render() const {
+  const core::MvaResult& r = *result_;
+  const std::size_t n = r.levels();
+  const bool shared_population = canonical_population(r);
+  // Format every stored series into one scratch string, noting the offset
+  // of each kCheckpointStride-th value, then copy both into one
+  // exact-size allocation: checkpoints first (aligned), bytes after.  The
+  // scratch stays with the thread, so renders do not churn the heap.
+  thread_local std::string text;
+  thread_local std::vector<std::uint32_t> checkpoints;
+  text.clear();
+  checkpoints.clear();
+  std::array<std::size_t, kSeriesCount> begin{}, first_checkpoint{};
+  for (std::size_t s = 0; s < kSeriesCount; ++s) {
+    if (s == kPopulation && shared_population) continue;
+    begin[s] = text.size();
+    first_checkpoint[s] = checkpoints.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i != 0) text.push_back(',');
+      if (i % kCheckpointStride == 0) {
+        checkpoints.push_back(
+            static_cast<std::uint32_t>(text.size() - begin[s]));
+      }
+      switch (s) {
+        case kCycleTime: append_json_number(text, r.cycle_time[i]); break;
+        case kPopulation: append_json_count(text, r.population[i]); break;
+        default: append_json_number(text, r.throughput[i]); break;
+      }
+    }
+    series_[s].size = text.size() - begin[s];
+  }
+  MTPERF_REQUIRE(text.size() <= UINT32_MAX,
+                 "series too long to render with 32-bit offsets");
+  const std::size_t words =
+      checkpoints.size() + (text.size() + sizeof(std::uint32_t) - 1) /
+                               sizeof(std::uint32_t);
+  storage_.reset(new std::uint32_t[words]);
+  std::copy(checkpoints.begin(), checkpoints.end(), storage_.get());
+  char* bytes = reinterpret_cast<char*>(storage_.get() + checkpoints.size());
+  std::memcpy(bytes, text.data(), text.size());
+  for (std::size_t s = 0; s < kSeriesCount; ++s) {
+    if (s == kPopulation && shared_population) continue;
+    series_[s].bytes = bytes + begin[s];
+    series_[s].checkpoints = storage_.get() + first_checkpoint[s];
+  }
+  if (shared_population) {
+    digits_ = counting_digits(n);
+    series_[kPopulation] =
+        Rendered{digits_->data(), counting_bytes(n), nullptr};
+  }
+  storage_bytes_ = words * sizeof(std::uint32_t);
+  if (stats_ != nullptr) {
+    stats_->renders.fetch_add(1, std::memory_order_relaxed);
+    stats_->bytes.fetch_add(storage_bytes_, std::memory_order_relaxed);
+  }
+}
+
+void SeriesRender::append(std::string& out, Series series,
+                          std::size_t levels) const {
+  std::call_once(rendered_, [this] { render(); });
+  const Rendered& rendered = series_[series];
+  std::size_t end = rendered.size;
+  if (levels == 0) {
+    end = 0;
+  } else if (levels < result_->levels()) {
+    if (rendered.checkpoints == nullptr) {
+      end = counting_bytes(levels);
+    } else {
+      // Value `levels` (0-based) starts after the comma that ends the
+      // slice: walk from its checkpoint to it.
+      std::size_t start = rendered.checkpoints[levels / kCheckpointStride];
+      for (std::size_t k = levels % kCheckpointStride; k != 0; --k) {
+        const void* comma = std::memchr(rendered.bytes + start, ',',
+                                        rendered.size - start);
+        start = static_cast<std::size_t>(static_cast<const char*>(comma) -
+                                         rendered.bytes) +
+                1;
+      }
+      end = start - 1;
+    }
+  }
+  out.push_back('[');
+  out.append(rendered.bytes, end);
+  out.push_back(']');
+}
 
 /// One lock shard: an LRU list (front = most recently used) plus an index
 /// into it.  Entries hold results at the *deepest* population solved so
@@ -154,7 +296,7 @@ Engine::FlightRole Engine::join_or_lead(const Fingerprint& fp, unsigned want,
 
 void Engine::finish_flight(const Fingerprint& fp,
                            const std::shared_ptr<Flight>& flight,
-                           std::shared_ptr<const core::MvaResult> result) {
+                           Cached result) {
   {
     // Retire before publishing: the result is already in the cache, so a
     // request that misses the (gone) flight finds it there instead.
@@ -179,7 +321,7 @@ void Engine::fail_flight(const Fingerprint& fp,
 Evaluation Engine::await_flight(const core::ScenarioSpec& spec,
                                 const Fingerprint& fp,
                                 const std::shared_ptr<Flight>& flight) {
-  std::shared_ptr<const core::MvaResult> result;
+  Cached result;
   try {
     result = flight->future.get();
   } catch (...) {
@@ -190,31 +332,33 @@ Evaluation Engine::await_flight(const core::ScenarioSpec& spec,
     return solve_miss(spec, fp, {});
   }
   coalesced_.fetch_add(1, std::memory_order_relaxed);
-  Evaluation ev = serve_hit(spec, std::move(result));
+  Evaluation ev =
+      serve_hit(spec.label, spec.options.max_population, std::move(result));
   ev.coalesced = true;
   return ev;
 }
 
-Evaluation Engine::serve_hit(const core::ScenarioSpec& spec,
-                             std::shared_ptr<const core::MvaResult> cached) {
+Evaluation Engine::serve_hit(const std::string& label, unsigned want,
+                             Cached cached) {
   hits_.fetch_add(1, std::memory_order_relaxed);
-  const unsigned want = spec.options.max_population;
-  if (cached->levels() == want) {
-    return Evaluation{spec.label, std::move(cached), true, false, 0.0};
+  if (cached.result->levels() == want) {
+    return Evaluation{label, std::move(cached.result), true, false, 0.0,
+                      false, std::move(cached.series)};
   }
   // Prefix hit: the result copy runs outside any shard lock.
   prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-  auto trimmed = std::make_shared<const core::MvaResult>(cached->prefix(want));
-  return Evaluation{spec.label, std::move(trimmed), true, true, 0.0};
+  auto trimmed =
+      std::make_shared<const core::MvaResult>(cached.result->prefix(want));
+  return Evaluation{label, std::move(trimmed), true, true, 0.0, false,
+                    std::move(cached.series)};
 }
 
-std::shared_ptr<const core::MvaResult> Engine::lookup(const Fingerprint& fp,
-                                                      unsigned want,
-                                                      GridLease* lease) {
+Engine::Cached Engine::lookup(const Fingerprint& fp, unsigned want,
+                              GridLease* lease) {
   Shard& shard = shard_for(fp);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(fp);
-  if (it == shard.index.end()) return nullptr;
+  if (it == shard.index.end()) return {};
   if (lease != nullptr) {
     lease->demands = it->second->demands;
     lease->grid = it->second->grid;
@@ -224,46 +368,53 @@ std::shared_ptr<const core::MvaResult> Engine::lookup(const Fingerprint& fp,
     // Shallower entry: left in place (the deep solve replaces it), but its
     // grid rides out through the lease so the re-solve only tabulates the
     // missing population tail.
-    return nullptr;
+    return {};
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->result;
+  return Cached{it->second->result, it->second->series};
 }
 
-void Engine::store(const Fingerprint& fp,
-                   std::shared_ptr<const core::MvaResult> result,
-                   GridLease lease) {
+std::shared_ptr<const SeriesRender> Engine::store(
+    const Fingerprint& fp, std::shared_ptr<const core::MvaResult> result,
+    GridLease lease) {
+  // Built outside the lock; dropped unrendered if a deeper entry wins.
+  auto series = std::make_shared<const SeriesRender>(result, series_stats_);
   Shard& shard = shard_for(fp);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(fp);
   if (it != shard.index.end()) {
     // Deepen (or refresh) the existing entry; never shrink it — a
-    // concurrent deeper solve may have landed first.
-    if (it->second->result->levels() < result->levels()) {
+    // concurrent deeper solve may have landed first.  Deepening drops the
+    // old result's series bytes with it.
+    const bool deeper = it->second->result->levels() < result->levels();
+    if (deeper) {
       it->second->result = std::move(result);
+      it->second->series = series;
       it->second->demands = std::move(lease.demands);
       it->second->grid = std::move(lease.grid);
       it->second->class_grid = std::move(lease.class_grid);
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  } else {
-    shard.lru.push_front(CacheEntry{fp, std::move(result),
-                                    std::move(lease.demands),
-                                    std::move(lease.grid),
-                                    std::move(lease.class_grid)});
-    shard.index.emplace(fp, shard.lru.begin());
-    if (shard.lru.size() > per_shard_capacity_) {
-      shard.index.erase(shard.lru.back().key);
-      shard.lru.pop_back();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      entries_.fetch_add(1, std::memory_order_relaxed);
-    }
+    return deeper ? series : nullptr;
   }
+  shard.lru.push_front(CacheEntry{fp, std::move(result), series,
+                                  std::move(lease.demands),
+                                  std::move(lease.grid),
+                                  std::move(lease.class_grid)});
+  shard.index.emplace(fp, shard.lru.begin());
+  if (shard.lru.size() > per_shard_capacity_) {
+    shard.index.erase(shard.lru.back().key);
+    shard.lru.pop_back();
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    entries_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return series;
 }
 
 Evaluation Engine::solve_miss(const core::ScenarioSpec& spec,
-                              const Fingerprint& fp, GridLease lease) {
+                              const Fingerprint& fp, GridLease lease,
+                              std::shared_ptr<const SeriesRender>* stored) {
   const unsigned want = spec.options.max_population;
   const core::DemandGrid* grid_ptr = nullptr;
   const core::MulticlassGrid* class_grid_ptr = nullptr;
@@ -325,7 +476,8 @@ Evaluation Engine::solve_miss(const core::ScenarioSpec& spec,
   const double ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
   record_solve_ms(ms);
-  store(fp, solved, std::move(lease));
+  auto series = store(fp, solved, std::move(lease));
+  if (stored != nullptr) *stored = std::move(series);
   return Evaluation{spec.label, std::move(solved), false, false, ms};
 }
 
@@ -336,8 +488,8 @@ Evaluation Engine::evaluate(const core::ScenarioSpec& spec) {
   requests_.fetch_add(1, std::memory_order_relaxed);
 
   GridLease lease;
-  if (auto cached = lookup(fp, want, &lease)) {
-    return serve_hit(spec, std::move(cached));
+  if (Cached cached = lookup(fp, want, &lease); cached.result != nullptr) {
+    return serve_hit(spec.label, want, std::move(cached));
   }
 
   std::shared_ptr<Flight> flight;
@@ -347,8 +499,9 @@ Evaluation Engine::evaluate(const core::ScenarioSpec& spec) {
     case FlightRole::kLeader: {
       misses_.fetch_add(1, std::memory_order_relaxed);
       try {
-        Evaluation ev = solve_miss(spec, fp, std::move(lease));
-        finish_flight(fp, flight, ev.result);
+        std::shared_ptr<const SeriesRender> series;
+        Evaluation ev = solve_miss(spec, fp, std::move(lease), &series);
+        finish_flight(fp, flight, Cached{ev.result, std::move(series)});
         return ev;
       } catch (...) {
         fail_flight(fp, flight, std::current_exception());
@@ -362,14 +515,13 @@ Evaluation Engine::evaluate(const core::ScenarioSpec& spec) {
   return solve_miss(spec, fp, std::move(lease));
 }
 
-std::optional<Evaluation> Engine::probe(const core::ScenarioSpec& spec,
-                                        const Fingerprint& fp) {
-  const unsigned want = spec.options.max_population;
+std::optional<Evaluation> Engine::probe(const Fingerprint& fp, unsigned want,
+                                        const std::string& label) {
   MTPERF_REQUIRE(want >= 1, "population must be at least 1");
-  auto cached = lookup(fp, want, nullptr);
-  if (cached == nullptr) return std::nullopt;
+  Cached cached = lookup(fp, want, nullptr);
+  if (cached.result == nullptr) return std::nullopt;
   requests_.fetch_add(1, std::memory_order_relaxed);
-  return serve_hit(spec, std::move(cached));
+  return serve_hit(label, want, std::move(cached));
 }
 
 std::future<Evaluation> Engine::submit(core::ScenarioSpec spec) {
@@ -416,6 +568,9 @@ std::vector<Evaluation> Engine::evaluate_batch(
     Fingerprint fp;
     GridLease lease;
     Evaluation eval;
+    /// A miss rep's series render, from store(); hits carry theirs in
+    /// `eval`.  Duplicates of the rep are answered with it.
+    std::shared_ptr<const SeriesRender> series;
     /// Leader reps publish here after solving; follower reps await it.
     std::shared_ptr<Flight> flight;
     bool follower = false;
@@ -428,7 +583,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
                    "population must be at least 1");
     const auto [it, inserted] = rep_index.try_emplace(fps[i], reps.size());
     if (inserted) {
-      reps.push_back(Rep{i, fps[i], {}, {}, nullptr, false});
+      reps.push_back(Rep{i, fps[i], {}, {}, nullptr, nullptr, false});
     } else if (specs[i].options.max_population >
                specs[reps[it->second].spec_index].options.max_population) {
       reps[it->second].spec_index = i;
@@ -447,8 +602,9 @@ std::vector<Evaluation> Engine::evaluate_batch(
     Rep& rep = reps[r];
     const core::ScenarioSpec& spec = specs[rep.spec_index];
     const unsigned want = spec.options.max_population;
-    if (auto cached = lookup(rep.fp, want, &rep.lease)) {
-      rep.eval = serve_hit(spec, std::move(cached));
+    if (Cached cached = lookup(rep.fp, want, &rep.lease);
+        cached.result != nullptr) {
+      rep.eval = serve_hit(spec.label, want, std::move(cached));
       continue;
     }
     switch (join_or_lead(rep.fp, want, &rep.flight)) {
@@ -513,7 +669,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
         rep.lease.grid = lanes[l].grid;
         lease = rep.lease;
       }
-      store(rep.fp, solved, std::move(lease));
+      rep.series = store(rep.fp, solved, std::move(lease));
       rep.eval = Evaluation{spec.label, std::move(solved), false, false,
                             ms_per_lane};
     }
@@ -556,7 +712,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
         rep.lease.grid = nullptr;
         lease = rep.lease;
       }
-      store(rep.fp, solved, std::move(lease));
+      rep.series = store(rep.fp, solved, std::move(lease));
       rep.eval = Evaluation{spec.label, std::move(solved), false, false,
                             ms_per_lane};
     }
@@ -576,7 +732,8 @@ std::vector<Evaluation> Engine::evaluate_batch(
       if (spec.options.solver != core::SolverKind::kHierarchical) {
         batch_scalar_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       }
-      rep.eval = solve_miss(spec, rep.fp, std::move(rep.lease));
+      rep.eval =
+          solve_miss(spec, rep.fp, std::move(rep.lease), &rep.series);
     }
   };
   // Solve, then settle every registered flight exactly once: leaders whose
@@ -590,7 +747,8 @@ std::vector<Evaluation> Engine::evaluate_batch(
       Rep& rep = reps[r];
       if (rep.flight == nullptr) continue;
       if (rep.eval.result != nullptr) {
-        finish_flight(rep.fp, rep.flight, rep.eval.result);
+        finish_flight(rep.fp, rep.flight,
+                      Cached{rep.eval.result, rep.series});
       } else {
         fail_flight(rep.fp, rep.flight,
                     error != nullptr ? error
@@ -630,7 +788,10 @@ std::vector<Evaluation> Engine::evaluate_batch(
       out[i].label = specs[i].label;
       continue;
     }
-    out[i] = serve_hit(specs[i], rep.eval.result);
+    out[i] = serve_hit(
+        specs[i].label, specs[i].options.max_population,
+        Cached{rep.eval.result,
+               rep.eval.series != nullptr ? rep.eval.series : rep.series});
   }
   return out;
 }
@@ -669,6 +830,8 @@ EngineMetrics Engine::metrics() const {
       batch_scalar_fallbacks_.load(std::memory_order_relaxed);
   m.fes_profile_hits = fes_profile_hits_.load(std::memory_order_relaxed);
   m.fes_profile_misses = fes_profile_misses_.load(std::memory_order_relaxed);
+  m.series_renders = series_stats_->renders.load(std::memory_order_relaxed);
+  m.series_bytes = series_stats_->bytes.load(std::memory_order_relaxed);
   for (std::size_t l = 0; l < m.batch_occupancy.size(); ++l) {
     m.batch_occupancy[l] = occupancy_hist_[l].load(std::memory_order_relaxed);
   }

@@ -19,7 +19,9 @@
 // Cache entries additionally hold the tabulated DemandGrid of the solve
 // (plus the DemandModel copy it borrows), so a deepen-in-place re-solve of
 // a varying-demand structure re-tabulates only the new population tail
-// instead of re-evaluating every spline row.
+// instead of re-evaluating every spline row, and a SeriesRender of the
+// result, so series answers served from the entry format its population
+// series once instead of once per answer.
 //
 // evaluate_batch dedupes specs with identical fingerprints (one solve per
 // structure, duplicates filled by sharing or trimming), groups the
@@ -48,6 +50,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -70,6 +73,71 @@ struct EngineOptions {
   std::size_t threads = 0;
 };
 
+/// An engine's SeriesRender tallies: renders run, and the bytes renders
+/// hold now.  Shared by pointer, so a render that outlives its engine (in
+/// an answer still being written) still settles its bytes here.
+struct SeriesRenderStats {
+  std::atomic<std::uint64_t> renders{0};
+  std::atomic<std::uint64_t> bytes{0};
+};
+
+/// The wire bytes of one solved result's three series arrays
+/// (cycle_time_series, population, throughput_series), formatted the
+/// first time an answer asks for them and then sliced: levels 1..n of
+/// each array are a leading byte range, because a prefix of a result is a
+/// verbatim copy of its leading rows.  The cache attaches one to every
+/// entry, so a series hit appends bytes instead of formatting 3×N numbers.
+///
+/// The two double arrays live in one exact-size allocation, with a byte
+/// offset every kCheckpointStride levels (a slice scans at most that many
+/// commas past its checkpoint).  A canonical 1..N population is not
+/// stored: every render shares one process-wide "1,2,…" digit string (any
+/// other population is rendered alongside the doubles).
+/// Thread-safe; the first render is published to concurrent readers by
+/// std::call_once.
+class SeriesRender {
+ public:
+  enum Series : std::size_t { kCycleTime, kPopulation, kThroughput };
+
+  /// `stats`, when non-null, counts the render and its resident bytes.
+  explicit SeriesRender(std::shared_ptr<const core::MvaResult> result,
+                        std::shared_ptr<SeriesRenderStats> stats = nullptr);
+  ~SeriesRender();
+
+  SeriesRender(const SeriesRender&) = delete;
+  SeriesRender& operator=(const SeriesRender&) = delete;
+
+  /// Levels of the rendered result: the deepest slice append() serves.
+  std::size_t levels() const noexcept { return result_->levels(); }
+
+  /// Append levels 1..`levels` of `series` as a JSON array ("[…]"),
+  /// rendering all three series first if no call has yet.  The bytes
+  /// equal formatting the same values one by one.
+  void append(std::string& out, Series series, std::size_t levels) const;
+
+ private:
+  static constexpr std::size_t kSeriesCount = 3;
+  static constexpr std::size_t kCheckpointStride = 32;
+
+  struct Rendered {
+    const char* bytes = nullptr;
+    std::size_t size = 0;
+    /// Byte offset of every kCheckpointStride-th value; null for the
+    /// shared digit string, whose offsets are arithmetic.
+    const std::uint32_t* checkpoints = nullptr;
+  };
+
+  void render() const;
+
+  std::shared_ptr<const core::MvaResult> result_;
+  std::shared_ptr<SeriesRenderStats> stats_;
+  mutable std::once_flag rendered_;
+  mutable std::unique_ptr<std::uint32_t[]> storage_;
+  mutable std::size_t storage_bytes_ = 0;
+  mutable std::shared_ptr<const std::string> digits_;
+  mutable std::array<Rendered, kSeriesCount> series_{};
+};
+
 /// Outcome of one scenario evaluation.  `result` always has exactly
 /// `spec.options.max_population` levels, identical (bit-for-bit) to a
 /// direct core::solve of the spec.
@@ -82,6 +150,11 @@ struct Evaluation {
   /// Served by waiting on a concurrent identical request's in-flight solve
   /// (single-flight dedup) rather than probing the cache or solving.
   bool coalesced = false;
+  /// Hits only: the series bytes of the cached result this answer was
+  /// served from (at least as deep as `result`), which append_evaluation
+  /// slices instead of formatting `result`'s series.  Null on a miss's
+  /// own answer, which formats its series directly.
+  std::shared_ptr<const SeriesRender> series = nullptr;
 };
 
 /// Lanes per lockstep block of the batched kernel, mirrored here so the
@@ -128,6 +201,11 @@ struct EngineMetrics {
   /// misses counts subnetwork solves that actually ran.
   std::uint64_t fes_profile_hits = 0;
   std::uint64_t fes_profile_misses = 0;
+  /// Series answers served from cache format each entry's series once
+  /// (SeriesRender): renders run so far, and the bytes renders hold now
+  /// (freed with their entry, or with the last answer still using them).
+  std::uint64_t series_renders = 0;
+  std::uint64_t series_bytes = 0;
   double batch_occupancy_mean = 0.0;  ///< lanes per block (0 when none)
   std::array<std::uint64_t, kEngineBatchLanes + 1> batch_occupancy{};
 };
@@ -162,14 +240,16 @@ class Engine final : public core::ScenarioEvaluator {
       const std::vector<core::ScenarioSpec>& specs,
       const std::vector<Fingerprint>& fps);
 
-  /// Cache probe alone, for a caller that already fingerprinted `spec`
-  /// (`fp` must be fingerprint(spec)).  An exact or prefix hit returns the
-  /// Evaluation evaluate() would give and counts the request and the hit
-  /// as evaluate() does.  A miss returns nothing and counts nothing: the
-  /// caller goes on to evaluate the spec, which counts it then.  Neither
-  /// joins nor registers an in-flight solve.
-  std::optional<Evaluation> probe(const core::ScenarioSpec& spec,
-                                  const Fingerprint& fp);
+  /// Cache probe alone, for a caller that already fingerprinted a spec:
+  /// `fp` is fingerprint(spec), `want` its max_population and `label` its
+  /// label (the socket reader keeps these three for lines it has parsed
+  /// before, and so need not rebuild the spec).  An exact or prefix hit
+  /// returns the Evaluation evaluate() would give and counts the request
+  /// and the hit as evaluate() does.  A miss returns nothing and counts
+  /// nothing: the caller goes on to evaluate the spec, which counts it
+  /// then.  Neither joins nor registers an in-flight solve.
+  std::optional<Evaluation> probe(const Fingerprint& fp, unsigned want,
+                                  const std::string& label);
 
   /// core::run_scenarios through this engine: parallel, cached, and
   /// returning the familiar LabeledResult rows (results copied out).
@@ -190,12 +270,18 @@ class Engine final : public core::ScenarioEvaluator {
  private:
   struct Shard;
 
+  /// A result the cache holds, with the series render attached to it.
+  struct Cached {
+    std::shared_ptr<const core::MvaResult> result;
+    std::shared_ptr<const SeriesRender> series;
+  };
+
   /// One in-flight miss: the leader's promised result, joined by
   /// concurrent requests for the same fingerprint (single-flight dedup).
   struct Flight {
     unsigned population = 0;  ///< depth the leader is solving to
-    std::promise<std::shared_ptr<const core::MvaResult>> promise;
-    std::shared_future<std::shared_ptr<const core::MvaResult>> future;
+    std::promise<Cached> promise;
+    std::shared_future<Cached> future;
   };
 
   /// How a cache miss relates to the in-flight table.
@@ -219,10 +305,11 @@ class Engine final : public core::ScenarioEvaluator {
 
   Shard& shard_for(const Fingerprint& fp) const noexcept;
 
-  /// Serve `spec` from a cached result covering its depth: share it when
-  /// the depth matches, else trim it (a prefix hit).  Counts the hit.
-  Evaluation serve_hit(const core::ScenarioSpec& spec,
-                       std::shared_ptr<const core::MvaResult> cached);
+  /// Serve a request for `want` levels from a cached result covering that
+  /// depth: share it when the depth matches, else trim it (a prefix hit).
+  /// Counts the hit.
+  Evaluation serve_hit(const std::string& label, unsigned want,
+                       Cached cached);
 
   void record_solve_ms(double ms);
   void record_batch_block(std::size_t lanes);
@@ -235,8 +322,7 @@ class Engine final : public core::ScenarioEvaluator {
 
   /// Publish the leader's result to every waiter and retire the flight.
   void finish_flight(const Fingerprint& fp,
-                     const std::shared_ptr<Flight>& flight,
-                     std::shared_ptr<const core::MvaResult> result);
+                     const std::shared_ptr<Flight>& flight, Cached result);
 
   /// Retire the flight with an error; waiters fall back to solving.
   void fail_flight(const Fingerprint& fp,
@@ -251,22 +337,26 @@ class Engine final : public core::ScenarioEvaluator {
                           const std::shared_ptr<Flight>& flight);
 
   /// Cache probe: the cached result when it covers `want` levels (LRU
-  /// bumped), else null.  `lease` receives the entry's cached grid state
-  /// either way — a shallower entry's grid seeds the deepen re-tabulation.
-  std::shared_ptr<const core::MvaResult> lookup(const Fingerprint& fp,
-                                                unsigned want,
-                                                GridLease* lease);
+  /// bumped), else an empty Cached.  `lease` receives the entry's cached
+  /// grid state either way — a shallower entry's grid seeds the deepen
+  /// re-tabulation.
+  Cached lookup(const Fingerprint& fp, unsigned want, GridLease* lease);
 
   /// Run the solver for one spec (no cache probe; counters untouched except
   /// the latency sample), reusing/deepening the leased grid when the spec
-  /// is grid-cacheable, and store the result.
+  /// is grid-cacheable, and store the result.  `stored`, when non-null,
+  /// receives the series render store() attached to the result.
   Evaluation solve_miss(const core::ScenarioSpec& spec, const Fingerprint& fp,
-                        GridLease lease);
+                        GridLease lease,
+                        std::shared_ptr<const SeriesRender>* stored = nullptr);
 
   /// Insert the solved result, deepening (never shrinking) any existing
   /// entry for `fp`; the lease rides along with whichever result wins.
-  void store(const Fingerprint& fp,
-             std::shared_ptr<const core::MvaResult> result, GridLease lease);
+  /// A stored result gets a fresh (unrendered) SeriesRender, returned for
+  /// answering duplicates of the miss; null when a deeper entry won.
+  std::shared_ptr<const SeriesRender> store(
+      const Fingerprint& fp, std::shared_ptr<const core::MvaResult> result,
+      GridLease lease);
 
   EngineOptions options_;
   std::size_t per_shard_capacity_;
@@ -292,6 +382,8 @@ class Engine final : public core::ScenarioEvaluator {
   std::atomic<std::uint64_t> fes_profile_misses_{0};
   std::array<std::atomic<std::uint64_t>, kEngineBatchLanes + 1>
       occupancy_hist_{};
+  std::shared_ptr<SeriesRenderStats> series_stats_ =
+      std::make_shared<SeriesRenderStats>();
 
   /// Per-solve latency samples, striped by thread so concurrent solves do
   /// not serialize on one mutex.  Percentiles need the raw sample, so the

@@ -210,10 +210,17 @@ void append_bool(std::string& out, bool b) {
 }
 
 /// ,"key":[...] — a population series as counts, the others as numbers.
+/// Sliced from `rendered` when the answer carries one (a cache hit),
+/// else formatted value by value; the bytes are the same.
 template <typename T>
 void append_series(std::string& out, std::string_view key,
-                   const std::vector<T>& values) {
+                   const std::vector<T>& values, const SeriesRender* rendered,
+                   SeriesRender::Series series) {
   append_key(out, key);
+  if (rendered != nullptr) {
+    rendered->append(out, series, values.size());
+    return;
+  }
   out.push_back('[');
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out.push_back(',');
@@ -310,6 +317,10 @@ void append_evaluation(std::string& out, const Evaluation& evaluation,
                        bool series, const Json& id) {
   const core::MvaResult& r = *evaluation.result;
   const std::size_t top = r.levels() - 1;
+  const SeriesRender* rendered =
+      evaluation.series != nullptr && evaluation.series->levels() >= r.levels()
+          ? evaluation.series.get()
+          : nullptr;
   std::size_t busiest = 0;
   for (std::size_t k = 0; k < r.stations(); ++k) {
     if (r.utilization(top, k) > r.utilization(top, busiest)) busiest = k;
@@ -344,7 +355,10 @@ void append_evaluation(std::string& out, const Evaluation& evaluation,
   }
   append_key(out, "cycle_time");
   append_json_number(out, r.cycle_time[top]);
-  if (series) append_series(out, "cycle_time_series", r.cycle_time);
+  if (series) {
+    append_series(out, "cycle_time_series", r.cycle_time, rendered,
+                  SeriesRender::kCycleTime);
+  }
   if (!id.is_null()) {
     append_key(out, "id");
     id.dump_to(out);
@@ -353,7 +367,10 @@ void append_evaluation(std::string& out, const Evaluation& evaluation,
   append_json_string(out, evaluation.label);
   append_key(out, "max_population");
   append_json_count(out, r.population[top]);
-  if (series) append_series(out, "population", r.population);
+  if (series) {
+    append_series(out, "population", r.population, rendered,
+                  SeriesRender::kPopulation);
+  }
   append_key(out, "prefix_hit");
   append_bool(out, evaluation.prefix_hit);
   append_key(out, "response_time");
@@ -362,7 +379,10 @@ void append_evaluation(std::string& out, const Evaluation& evaluation,
   append_json_number(out, evaluation.solve_ms);
   append_key(out, "throughput");
   append_json_number(out, r.throughput[top]);
-  if (series) append_series(out, "throughput_series", r.throughput);
+  if (series) {
+    append_series(out, "throughput_series", r.throughput, rendered,
+                  SeriesRender::kThroughput);
+  }
   append_key(out, "utilization");
   out.push_back('{');
   sorted_unique_keys(r.station_names, order);
@@ -422,6 +442,8 @@ void append_metrics(std::string& out, const EngineMetrics& m,
       static_cast<unsigned long long>(m.fes_profile_hits);
   inner["fes_profile_misses"] =
       static_cast<unsigned long long>(m.fes_profile_misses);
+  inner["series_renders"] = static_cast<unsigned long long>(m.series_renders);
+  inner["series_bytes"] = static_cast<unsigned long long>(m.series_bytes);
   inner["solve_ms"] = Json(std::move(latency));
   inner["batch"] = Json(std::move(batch));
   Json::Object line;
@@ -430,6 +452,168 @@ void append_metrics(std::string& out, const EngineMetrics& m,
   if (server != nullptr) line["server"] = *server;
   Json(std::move(line)).dump_to(out);
   out.push_back('\n');
+}
+
+namespace {
+
+bool is_json_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+void skip_space(std::string_view s, std::size_t& i) {
+  while (i < s.size() && is_json_space(s[i])) ++i;
+}
+
+/// Past the string opening at s[i]; false when it never closes.
+/// `escaped` is set when the string holds a backslash.
+bool skip_string(std::string_view s, std::size_t& i, bool& escaped) {
+  for (++i; i < s.size();) {
+    const char c = s[i++];
+    if (c == '"') return true;
+    if (c == '\\') {
+      escaped = true;
+      ++i;
+    }
+  }
+  return false;
+}
+
+/// Past the value starting at s[i], a member of a top-level object.
+/// Containers are matched by depth alone and bare tokens (numbers,
+/// literals) run to the next separator: enough to find where a value of a
+/// valid line ends; the id's own bytes are parsed by Json::parse.
+bool skip_value(std::string_view s, std::size_t& i) {
+  if (i >= s.size()) return false;
+  bool escaped = false;
+  if (s[i] == '"') return skip_string(s, i, escaped);
+  if (s[i] == '{' || s[i] == '[') {
+    std::size_t depth = 1;  // the top-level object
+    while (i < s.size()) {
+      const char c = s[i];
+      if (c == '"') {
+        if (!skip_string(s, i, escaped)) return false;
+        continue;
+      }
+      ++i;
+      if (c == '{' || c == '[') {
+        if (++depth > Json::kMaxParseDepth) return false;
+      } else if ((c == '}' || c == ']') && --depth == 1) {
+        return true;
+      }
+    }
+    return false;
+  }
+  const std::size_t start = i;
+  while (i < s.size() && !is_json_space(s[i]) && s[i] != ',' && s[i] != '}' &&
+         s[i] != ']') {
+    ++i;
+  }
+  return i > start;
+}
+
+}  // namespace
+
+bool scan_request_id(std::string_view line, IdSpan& span) {
+  span = IdSpan{};
+  std::size_t i = 0;
+  skip_space(line, i);
+  if (i == line.size() || line[i] != '{') return false;
+  ++i;
+  skip_space(line, i);
+  if (i < line.size() && line[i] == '}') {
+    ++i;
+    skip_space(line, i);
+    return i == line.size();
+  }
+  std::size_t previous_value_end = 0;  // of the member before this one
+  bool first = true;
+  bool id_first = false;  // the id is the first member; cut_end pending
+  for (;;) {
+    if (i == line.size() || line[i] != '"') return false;
+    const std::size_t key_begin = i;
+    bool escaped = false;
+    if (!skip_string(line, i, escaped) || escaped) return false;
+    const std::string_view key = line.substr(key_begin, i - key_begin);
+    skip_space(line, i);
+    if (i == line.size() || line[i] != ':') return false;
+    ++i;
+    skip_space(line, i);
+    const std::size_t value_begin = i;
+    if (!skip_value(line, i)) return false;
+    if (key == "\"id\"") {
+      if (span.present) return false;
+      span.present = true;
+      span.value_begin = value_begin;
+      span.value_end = i;
+      // Cut ",<id member>" after an earlier member; a first id takes its
+      // following ',' instead (or runs to the '}' when it is alone).
+      span.cut_begin = first ? key_begin : previous_value_end;
+      span.cut_end = i;
+      id_first = first;
+    }
+    previous_value_end = i;
+    first = false;
+    skip_space(line, i);
+    if (i == line.size()) return false;
+    if (line[i] == ',') {
+      ++i;
+      skip_space(line, i);
+      if (id_first) span.cut_end = i;
+      id_first = false;
+      continue;
+    }
+    if (line[i] != '}') return false;
+    if (id_first) span.cut_end = i;
+    ++i;
+    skip_space(line, i);
+    return i == line.size();
+  }
+}
+
+const RequestMemo::Entry* RequestMemo::find(std::string_view line, Json& id) {
+  keyed_ = false;
+  IdSpan span;
+  if (!scan_request_id(line, span)) return nullptr;
+  if (span.present) {
+    key_.assign(line.substr(0, span.cut_begin));
+    key_.append(line.substr(span.cut_end));
+  } else {
+    key_.assign(line);
+  }
+  keyed_ = true;
+  const auto it = index_.find(key_);
+  if (it == index_.end()) return nullptr;
+  id = Json();
+  if (span.present) {
+    try {
+      id = Json::parse(
+          line.substr(span.value_begin, span.value_end - span.value_begin));
+    } catch (const std::exception&) {
+      return nullptr;  // the full parse reports the malformed id
+    }
+  }
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return &it->second->entry;
+}
+
+void RequestMemo::remember(Entry entry) {
+  if (!keyed_ || capacity_ == 0 || key_.size() > kMaxBytes) return;
+  keyed_ = false;
+  if (const auto it = index_.find(key_); it != index_.end()) {
+    it->second->entry = std::move(entry);
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return;
+  }
+  lru_.push_front(Node{key_, std::move(entry)});
+  index_.emplace(lru_.front().key, lru_.begin());
+  bytes_ += key_.size();
+  while (lru_.size() > capacity_ || bytes_ > kMaxBytes) evict_oldest();
+}
+
+void RequestMemo::evict_oldest() {
+  bytes_ -= lru_.back().key.size();
+  index_.erase(lru_.back().key);
+  lru_.pop_back();
 }
 
 }  // namespace mtperf::service

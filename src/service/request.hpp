@@ -45,12 +45,20 @@
 // serve path's per-response cost is dominated by this serialization);
 // numbers and strings go through the same formatters as Json::dump_to,
 // so the bytes equal what dumping the equivalent Json object would give.
-// The metrics line, a cold path, is built as a Json object.
+// The metrics line, a cold path, is built as a Json object.  A cache
+// hit's series arrays are sliced from bytes rendered once per cache entry
+// (SeriesRender in service/engine.hpp); the bytes are the same.
+//
+// The socket transport answers a line it has parsed before (the same bytes
+// but for the "id" member) from a RequestMemo: scan_request_id cuts the id
+// out without parsing the line, and only the id's own bytes are parsed.
 #pragma once
 
 #include <cstddef>
+#include <list>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "core/sweep.hpp"
 #include "service/engine.hpp"
@@ -111,5 +119,82 @@ void append_error(std::string& out, const std::string& message,
 /// `id` is echoed when non-null (socket clients match responses by id).
 void append_metrics(std::string& out, const EngineMetrics& metrics,
                     const Json* server = nullptr, const Json& id = Json());
+
+/// Where a request line's top-level "id" member sits (byte offsets).
+struct IdSpan {
+  bool present = false;
+  /// The bytes to cut to remove the member: its key, value and one
+  /// adjacent ',' with the whitespace around them.
+  std::size_t cut_begin = 0;
+  std::size_t cut_end = 0;
+  /// The id value's own bytes.
+  std::size_t value_begin = 0;
+  std::size_t value_end = 0;
+};
+
+/// Find the top-level "id" member of a request line without parsing it:
+/// a byte scan that tracks strings, escapes and nesting.  Gives up
+/// (returns false, and the line takes the full parse) unless `line` is
+/// one object whose top-level keys hold no backslash ("\u0069d" decodes
+/// to "id") and name "id" at most once, nested no deeper than
+/// Json::kMaxParseDepth.  It checks the line's structure, not its
+/// values: a true return does not make the line valid JSON.
+bool scan_request_id(std::string_view line, IdSpan& span);
+
+/// A connection's memo of scenario lines it has already parsed, so a
+/// repeat — the same bytes but for the "id" — is answered without a
+/// parse.  Keyed by the line's bytes with the id member cut out (compared
+/// byte for byte); holds what the parse decided: the fingerprint, depth,
+/// series flag and label.  The parse is a pure function of those bytes,
+/// so a memoized line parses to the same request every time.
+///
+/// Bounded: at most `capacity` lines and kMaxBytes of keys, least
+/// recently used first out.  Not thread-safe: each reader owns one.
+class RequestMemo {
+ public:
+  struct Entry {
+    Fingerprint fp;
+    unsigned depth = 0;
+    bool series = false;
+    std::string label;
+  };
+
+  static constexpr std::size_t kMaxBytes = std::size_t{1} << 20;
+
+  explicit RequestMemo(std::size_t capacity) : capacity_(capacity) {}
+
+  // The index views keys inside the list's nodes; a copy would view the
+  // original's.
+  RequestMemo(const RequestMemo&) = delete;
+  RequestMemo& operator=(const RequestMemo&) = delete;
+
+  /// The entry memoized for `line`, with the line's id parsed from its own
+  /// bytes into `id` (null when absent).  Null when the line is not
+  /// memoized, the scanner gives up on it, or its id does not parse.
+  /// Also keys `line` for a following remember().
+  const Entry* find(std::string_view line, Json& id);
+
+  /// Memoize the line last passed to find(), which has just passed the
+  /// full parse and fingerprint as a scenario.  No-op when the scanner
+  /// gave up on that line.
+  void remember(Entry entry);
+
+  std::size_t size() const noexcept { return lru_.size(); }
+
+ private:
+  struct Node {
+    std::string key;
+    Entry entry;
+  };
+
+  void evict_oldest();
+
+  std::size_t capacity_;
+  std::size_t bytes_ = 0;
+  std::list<Node> lru_;  ///< front = most recently used
+  std::unordered_map<std::string_view, std::list<Node>::iterator> index_;
+  std::string key_;     ///< the last find()'s key
+  bool keyed_ = false;  ///< key_ is valid for remember()
+};
 
 }  // namespace mtperf::service

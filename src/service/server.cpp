@@ -110,15 +110,30 @@ void Server::stop() {
   }
   {
     std::lock_guard<std::mutex> lock(readers_mutex_);
-    for (const auto& conn : connections_) conn->sock.shutdown();
+    for (const Reader& r : readers_) {
+      if (r.conn != nullptr) r.conn->sock.shutdown();
+    }
   }
-  for (std::thread& t : reader_threads_) {
-    if (t.joinable()) t.join();
+  // The accept thread is gone, so the list no longer changes shape;
+  // exiting readers only touch their own node's conn and done, under the
+  // lock, which must therefore not be held while joining.
+  for (Reader& r : readers_) {
+    if (r.thread.joinable()) r.thread.join();
   }
   listener_.close();
   std::lock_guard<std::mutex> lock(readers_mutex_);
-  for (const auto& conn : connections_) conn->sock.close();
-  connections_.clear();
+  readers_.clear();
+}
+
+void Server::reap_readers() {
+  for (auto it = readers_.begin(); it != readers_.end();) {
+    if (!it->done) {
+      ++it;
+      continue;
+    }
+    it->thread.join();  // already past its last statement
+    it = readers_.erase(it);
+  }
 }
 
 void Server::accept_loop() {
@@ -132,9 +147,15 @@ void Server::accept_loop() {
       conn->sock.close();
       break;
     }
-    connections_.push_back(conn);
-    reader_threads_.emplace_back(
-        [this, conn = std::move(conn)]() mutable { reader_loop(conn); });
+    // Finished connections give their threads back here, so a server
+    // taking many short connections holds threads only for live ones.
+    reap_readers();
+    Reader& reader = readers_.emplace_back();
+    reader.conn = conn;
+    reader.thread = std::thread(
+        [this, conn = std::move(conn), self = &reader]() mutable {
+          reader_loop(std::move(conn), self);
+        });
   }
 }
 
@@ -154,12 +175,43 @@ void Server::respond(Connection& conn, std::string_view data,
   send_failures_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Server::reader_loop(std::shared_ptr<Connection> conn) {
-  LineReader reader(conn->sock);
+void Server::reader_loop(std::shared_ptr<Connection> conn, Reader* self) {
+  LineReader reader(conn->sock, kMaxRequestLineBytes);
+  RequestMemo memo(options_.engine.cache_capacity);
   std::string line;
   std::string out;  // reused response buffer; respond() copies nothing
+  Json id;
   while (reader.next_line(line)) {
+    if (reader.too_long()) {
+      parse_errors_.fetch_add(1, std::memory_order_relaxed);
+      out.clear();
+      append_error(out, std::string(Error::prefix()) + "request line too long",
+                   Json());
+      respond(*conn, out);
+      continue;
+    }
     if (line.empty()) continue;
+    // A line seen before, but for its id, skips the parse: its
+    // fingerprint, depth and label come from the memo.  A cache miss
+    // falls through to the full parse, which admits it as usual.
+    if (const RequestMemo::Entry* seen = memo.find(line, id)) {
+      std::optional<Evaluation> hit;
+      try {
+        hit = engine_->probe(seen->fp, seen->depth, seen->label);
+      } catch (const std::exception&) {
+        // The full parse below meets the same failure and answers it.
+      }
+      if (hit) {
+        requests_.fetch_add(1, std::memory_order_relaxed);
+        reader_hits_.fetch_add(1, std::memory_order_relaxed);
+        memo_hits_.fetch_add(1, std::memory_order_relaxed);
+        out.clear();
+        append_evaluation(out, *hit, seen->series, id);
+        respond(*conn, out);
+        release_if_oversized(out);
+        continue;
+      }
+    }
     ParsedRequest request;
     try {
       request = parse_request(line);
@@ -199,13 +251,16 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
         std::optional<Evaluation> hit;
         try {
           fp = fingerprint(request.spec);
-          hit = engine_->probe(request.spec, fp);
+          hit = engine_->probe(fp, request.spec.options.max_population,
+                               request.spec.label);
         } catch (const std::exception& e) {
           out.clear();
           append_error(out, e.what(), request.id);
           respond(*conn, out);
           break;
         }
+        memo.remember({fp, request.spec.options.max_population,
+                       request.series, request.spec.label});
         if (hit) {
           reader_hits_.fetch_add(1, std::memory_order_relaxed);
           out.clear();
@@ -248,7 +303,11 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     }
   }
   // Receive side is done; in-flight responses still write through the
-  // Connection shared_ptr held by their Pendings.
+  // Connection shared_ptr held by their Pendings, and the socket closes
+  // with the last of them.
+  std::lock_guard<std::mutex> lock(readers_mutex_);
+  self->conn.reset();
+  self->done = true;
 }
 
 void Server::batcher_loop() {
@@ -274,6 +333,7 @@ void Server::batcher_loop() {
       flush_by_deadline_.fetch_add(1, std::memory_order_relaxed);
     }
     flush_batch(batch, buffers);
+    batch.clear();  // drop the connections' references until the next pop
   }
 }
 
@@ -337,6 +397,7 @@ ServerMetrics Server::metrics() const {
   m.connections = connections_accepted_.load(std::memory_order_relaxed);
   m.requests = requests_.load(std::memory_order_relaxed);
   m.reader_hits = reader_hits_.load(std::memory_order_relaxed);
+  m.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   m.accepted = accepted_.load(std::memory_order_relaxed);
   m.rejected_overloaded =
       rejected_overloaded_.load(std::memory_order_relaxed);
@@ -357,6 +418,7 @@ Json Server::server_metrics_json() const {
   server["connections"] = static_cast<unsigned long long>(m.connections);
   server["requests"] = static_cast<unsigned long long>(m.requests);
   server["reader_hits"] = static_cast<unsigned long long>(m.reader_hits);
+  server["memo_hits"] = static_cast<unsigned long long>(m.memo_hits);
   server["accepted"] = static_cast<unsigned long long>(m.accepted);
   server["rejected_overloaded"] =
       static_cast<unsigned long long>(m.rejected_overloaded);

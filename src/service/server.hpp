@@ -1,15 +1,20 @@
 // The socket transport of mtperf_serve: a micro-batching TCP front end
 // over service::Engine, shaped like an inference-serving pipeline —
 //
-//   accept loop ──> per-connection reader threads: parse, fingerprint,
-//                   Engine::probe
-//                     ├─ hit ──> answered and written by the reader
-//                     └─ miss ─> bounded submission queue ──> micro-batcher
-//                                ──> Engine::evaluate_batch
-//                                ──> per-connection grouped writes
+//   accept loop ──> per-connection reader threads:
+//                   request-line memo ─ seen ─> Engine::probe
+//                     └─ unseen, or a cache miss ─> parse, fingerprint,
+//                                                   Engine::probe
+//                   ├─ hit ──> answered and written by the reader
+//                   └─ miss ─> bounded submission queue ──> micro-batcher
+//                              ──> Engine::evaluate_batch
+//                              ──> per-connection grouped writes
 //
-// Readers parse line-delimited JSON requests (service/request.hpp) off
-// their connection, fingerprint each scenario once, and probe the cache.
+// Readers split their connection into lines (at most
+// kMaxRequestLineBytes each) and look each one up in their RequestMemo
+// (service/request.hpp): a line repeated but for its "id" whose entry is
+// still cached is answered without a parse.  Other lines are parsed, each
+// scenario fingerprinted once, and the cache probed.
 // An exact or prefix hit is serialized and written by the reader itself,
 // so hits never wait behind cold solves, a flush deadline, or the
 // batcher's serialization of other answers — the three-tier-with-cache
@@ -41,12 +46,17 @@
 //
 // Metrics ({"cmd":"metrics"}) answer from the reader thread without
 // touching the batch path — the engine's counters are lock-free to read.
+//
+// A finished reader releases its connection and is joined by the accept
+// loop at the next accept, so closed connections hold neither an fd nor a
+// thread; misses still queued keep their connection alive until answered.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -58,6 +68,12 @@
 #include "service/request.hpp"
 
 namespace mtperf::service {
+
+/// Longest request line a reader accepts (4 MiB, some thousands of times
+/// the protocol's largest committed request).  A longer line is answered
+/// with {"error":"mtperf: request line too long"} and discarded through
+/// its newline; the connection keeps serving.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{4} << 20;
 
 struct ServerOptions {
   /// TCP port (loopback); 0 lets the kernel pick — read back via port().
@@ -80,6 +96,8 @@ struct ServerMetrics {
   std::uint64_t connections = 0;  ///< accepted so far
   std::uint64_t requests = 0;     ///< parsed scenario requests
   std::uint64_t reader_hits = 0;  ///< cache hits answered before admission
+  /// Reader hits of memoized lines, answered without a parse.
+  std::uint64_t memo_hits = 0;
   std::uint64_t accepted = 0;     ///< misses admitted to the queue
   std::uint64_t rejected_overloaded = 0;  ///< shed: queue full
   std::uint64_t rejected_inflight = 0;    ///< shed: per-conn cap
@@ -124,8 +142,22 @@ class Server final {
   struct Pending;
   struct ConnectionBuffer;
 
+  /// One connection's reader thread.  The reader drops `conn` and sets
+  /// `done` as it exits; the accept loop joins and erases done readers.
+  struct Reader {
+    Reader() = default;
+    Reader(const Reader&) = delete;  // its thread holds its address
+    Reader& operator=(const Reader&) = delete;
+
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
+    bool done = false;
+  };
+
   void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
+  /// Join and erase every reader that has finished (readers_mutex_ held).
+  void reap_readers();
+  void reader_loop(std::shared_ptr<Connection> conn, Reader* self);
   void batcher_loop();
   void flush_batch(std::vector<Pending>& batch,
                    std::vector<ConnectionBuffer>& buffers);
@@ -140,8 +172,7 @@ class Server final {
   std::thread accept_thread_;
   std::vector<std::thread> batcher_threads_;
   std::mutex readers_mutex_;
-  std::vector<std::thread> reader_threads_;
-  std::vector<std::shared_ptr<Connection>> connections_;
+  std::list<Reader> readers_;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
@@ -152,6 +183,7 @@ class Server final {
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> reader_hits_{0};
+  std::atomic<std::uint64_t> memo_hits_{0};
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> rejected_overloaded_{0};
   std::atomic<std::uint64_t> rejected_inflight_{0};

@@ -9,10 +9,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -603,12 +608,21 @@ std::shared_ptr<const core::MvaResult> hand_result(
   return r;
 }
 
+/// `shallow` answered as a cache hit is: its series sliced from a render
+/// of `deep`, a result whose leading rows are `shallow.result`'s.
+service::Evaluation through_render(service::Evaluation shallow,
+                                   std::shared_ptr<const core::MvaResult> deep) {
+  shallow.series = std::make_shared<const service::SeriesRender>(std::move(deep));
+  return shallow;
+}
+
 TEST(ResponseWriter, EvaluationBytesMatchTheJsonDom) {
   std::vector<service::Evaluation> evaluations;
   service::Engine engine;
-  // Solver output: single class (a cold solve, then a prefix hit of it),
-  // and a three-class mix, whose response carries "classes".  Each is
-  // also written as a coalesced answer below.
+  // Solver output: single class (a cold solve, then a prefix hit of it,
+  // whose series the engine serves rendered), and a three-class mix,
+  // whose response carries "classes".  Each is also written as a
+  // coalesced answer below.
   evaluations.push_back(engine.evaluate(make_spec(1.0, 60)));
   evaluations.push_back(engine.evaluate(make_spec(1.0, 45)));
   const auto mix = service::parse_request(
@@ -624,17 +638,58 @@ TEST(ResponseWriter, EvaluationBytesMatchTheJsonDom) {
   // Hand-built: non-finite values, counts on both sides of 100000 (where
   // to_chars alone would switch to "1e+05"), escapes and control
   // characters in names, a repeated station name (the DOM keeps the last).
+  const std::vector<std::string> odd_stations = {
+      "b\"q", "a\\b", "ctl\x02", "db", "tab\tnl\n", "db", "Z", "\x7f"};
+  const std::vector<unsigned> odd_populations = {
+      1, 9999, 10000, 99999, 100000, 120000, 1000000, 4294967295u};
+  const std::vector<std::string> odd_classes = {"z", "\x1b[0m", "A", "m\"x"};
   service::Evaluation odd;
   odd.label = "quote\" back\\slash \t\n\x01\x1f \xc3\xa9 </x>";
   odd.solve_ms = 12.5;
-  odd.result = hand_result(
-      {"b\"q", "a\\b", "ctl\x02", "db", "tab\tnl\n", "db", "Z", "\x7f"},
-      {1, 9999, 10000, 99999, 100000, 120000, 1000000, 4294967295u},
-      {"z", "\x1b[0m", "A", "m\"x"});
+  odd.result = hand_result(odd_stations, odd_populations, odd_classes);
   evaluations.push_back(odd);
   service::Evaluation lone = odd;
   lone.result = hand_result({"only"}, {100000});
   evaluations.push_back(lone);
+
+  // The same answers with their series sliced from rendered bytes, as a
+  // cache hit writes them: at depth 1, around a checkpoint, and at full
+  // depth, each from a fresh render of the deepest result.
+  const std::size_t plain = evaluations.size();
+  const auto deep = engine.evaluate(make_spec(1.0, 100)).result;
+  for (const unsigned depth :
+       {1u, 31u, 32u, 33u, 65u, 99u, 100u}) {
+    service::Evaluation hit = evaluations[0];
+    hit.result = depth == deep->levels()
+                     ? deep
+                     : std::make_shared<const core::MvaResult>(
+                           deep->prefix(depth));
+    evaluations.push_back(through_render(hit, deep));
+  }
+  const auto mix_deep = evaluations[2].result;
+  ASSERT_GE(mix_deep->levels(), 3u);
+  for (const std::size_t depth :
+       {std::size_t{1}, mix_deep->levels() / 2, mix_deep->levels()}) {
+    service::Evaluation hit = evaluations[2];
+    hit.result = std::make_shared<const core::MvaResult>(
+        mix_deep->prefix(static_cast<unsigned>(depth)));
+    evaluations.push_back(through_render(hit, mix_deep));
+  }
+  // hand_result gives every level the same values whatever the depth, so
+  // a shorter population list builds a verbatim prefix of the odd result
+  // (one whose population is not 1..N, so it is rendered, not shared).
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{4},
+                                  odd_populations.size()}) {
+    service::Evaluation hit = odd;
+    hit.result = hand_result(
+        odd_stations,
+        std::vector<unsigned>(odd_populations.begin(),
+                              odd_populations.begin() +
+                                  static_cast<std::ptrdiff_t>(depth)),
+        odd_classes);
+    evaluations.push_back(through_render(hit, odd.result));
+  }
+  evaluations.push_back(through_render(lone, lone.result));
 
   const Json ids[] = {
       Json(),
@@ -645,7 +700,9 @@ TEST(ResponseWriter, EvaluationBytesMatchTheJsonDom) {
       Json::parse("{\"b\":[1,true,null],\"a\":{\"x\":\"y\"}}"),
   };
   std::string out;
-  for (service::Evaluation evaluation : evaluations) {
+  for (std::size_t e = 0; e < evaluations.size(); ++e) {
+    service::Evaluation evaluation = evaluations[e];
+    if (e >= plain) ASSERT_NE(evaluation.series, nullptr) << e;
     for (const bool coalesced : {false, true}) {
       evaluation.coalesced = coalesced;
       for (const bool series : {false, true}) {
@@ -653,8 +710,9 @@ TEST(ResponseWriter, EvaluationBytesMatchTheJsonDom) {
           out.clear();
           service::append_evaluation(out, evaluation, series, id);
           EXPECT_EQ(out, dom_evaluation(evaluation, series, id))
-              << "label " << evaluation.label << " coalesced " << coalesced
-              << " series " << series << " id " << id.dump();
+              << "evaluation " << e << " label " << evaluation.label
+              << " levels " << evaluation.result->levels() << " coalesced "
+              << coalesced << " series " << series << " id " << id.dump();
         }
       }
     }
@@ -738,6 +796,425 @@ TEST(ResponseWriter, WholeNumbersPrintAsIntegers) {
     EXPECT_EQ(out, text) << value;
   }
   EXPECT_EQ(Json::parse("{\"id\":100000}").dump(), "{\"id\":100000}");
+}
+
+// --- rendered series of cache entries ------------------------------------
+
+/// The series answer of `evaluation`, and the same answer formatted value
+/// by value (no rendered bytes): the two must be equal.
+std::pair<std::string, std::string> rendered_and_direct(
+    const service::Evaluation& evaluation) {
+  std::string rendered, direct;
+  service::append_evaluation(rendered, evaluation, true, Json(1));
+  service::Evaluation unrendered = evaluation;
+  unrendered.series = nullptr;
+  service::append_evaluation(direct, unrendered, true, Json(1));
+  return {rendered, direct};
+}
+
+TEST(SeriesRender, HitsRenderOnceAndDeepeningRendersAgain) {
+  service::Engine engine;
+  // The miss that creates the entry does not render; its first series
+  // hit does, and later hits (exact or prefix) slice the same bytes.
+  const service::Evaluation miss = engine.evaluate(make_spec(1.0, 300));
+  EXPECT_EQ(miss.series, nullptr);
+  EXPECT_EQ(engine.metrics().series_renders, 0u);
+  for (const unsigned depth : {300u, 300u, 17u, 299u}) {
+    const service::Evaluation hit = engine.evaluate(make_spec(1.0, depth));
+    ASSERT_NE(hit.series, nullptr);
+    const auto [rendered, direct] = rendered_and_direct(hit);
+    EXPECT_EQ(rendered, direct) << depth;
+  }
+  EXPECT_EQ(engine.metrics().series_renders, 1u);
+  EXPECT_GT(engine.metrics().series_bytes, 0u);
+
+  // Deepening to 1500 replaces the entry's render with an unrendered one;
+  // a hit at 1200 renders the 1500-level result and slices 1200 levels.
+  const service::Evaluation deeper = engine.evaluate(make_spec(1.0, 1500));
+  EXPECT_FALSE(deeper.cache_hit);
+  const service::Evaluation hit = engine.evaluate(make_spec(1.0, 1200));
+  ASSERT_TRUE(hit.prefix_hit);
+  ASSERT_NE(hit.series, nullptr);
+  EXPECT_EQ(hit.series->levels(), 1500u);
+  const auto [rendered, direct] = rendered_and_direct(hit);
+  EXPECT_EQ(rendered, direct);
+  EXPECT_EQ(rendered, dom_evaluation(hit, true, Json(1)));
+  EXPECT_EQ(engine.metrics().series_renders, 2u);
+
+  // A hit without the series renders nothing.
+  std::string out;
+  service::append_evaluation(out, engine.evaluate(make_spec(2.0, 10)), false,
+                             Json());
+  service::append_evaluation(out, engine.evaluate(make_spec(2.0, 10)), false,
+                             Json());
+  EXPECT_EQ(engine.metrics().series_renders, 2u);
+
+  // Bytes are resident while an entry or an answer holds the render.
+  engine.clear();
+  EXPECT_GT(engine.metrics().series_bytes, 0u);  // `hit` still holds one
+}
+
+TEST(SeriesRender, BytesAreFreedWithTheirEntry) {
+  service::EngineOptions options;
+  options.cache_capacity = 1;
+  options.shards = 1;
+  service::Engine engine(options);
+  engine.evaluate(make_spec(1.0, 200));
+  std::string out;
+  service::append_evaluation(out, engine.evaluate(make_spec(1.0, 200)), true,
+                             Json());
+  EXPECT_EQ(engine.metrics().series_renders, 1u);
+  EXPECT_GT(engine.metrics().series_bytes, 0u);
+  engine.evaluate(make_spec(3.0, 200));  // evicts the rendered entry
+  EXPECT_EQ(engine.metrics().evictions, 1u);
+  EXPECT_EQ(engine.metrics().series_bytes, 0u);
+}
+
+TEST(SeriesRender, ConcurrentFirstHitsRenderOnce) {
+  service::Engine engine;
+  engine.evaluate(make_spec(1.0, 900));
+  const std::string expected = [&] {
+    service::Evaluation hit = engine.evaluate(make_spec(1.0, 700));
+    hit.series = nullptr;
+    std::string out;
+    service::append_evaluation(out, hit, true, Json(1));
+    return out;
+  }();
+  // Every thread's first use of the entry's render races the others'; one
+  // renders, the rest read what it published.
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::string> outs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const service::Evaluation hit = engine.evaluate(make_spec(1.0, 700));
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      service::append_evaluation(outs[t], hit, true, Json(1));
+    });
+  }
+  while (ready.load() < kThreads) std::this_thread::yield();
+  go.store(true);
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(outs[t], expected) << t;
+  EXPECT_EQ(engine.metrics().series_renders, 1u);
+}
+
+TEST(SeriesRender, BatchHitsAndDuplicatesUseTheRender) {
+  service::Engine engine;
+  // A batch with a miss and its duplicate: the miss formats directly, the
+  // duplicate (served from the miss) slices the new entry's render.
+  const auto first = engine.evaluate_batch(
+      {make_spec(1.0, 400), make_spec(1.0, 250)});
+  EXPECT_EQ(first[0].series, nullptr);
+  ASSERT_NE(first[1].series, nullptr);
+  // A later batch hits the entry.
+  const auto second = engine.evaluate_batch({make_spec(1.0, 400)});
+  ASSERT_NE(second[0].series, nullptr);
+  EXPECT_EQ(second[0].series, first[1].series);
+  for (const auto* evaluation : {&first[1], &second[0]}) {
+    const auto [rendered, direct] = rendered_and_direct(*evaluation);
+    EXPECT_EQ(rendered, direct);
+  }
+  EXPECT_EQ(engine.metrics().series_renders, 1u);
+}
+
+// --- request-line memo ------------------------------------------------------
+
+/// The memo key of `line`: its bytes without the id member.
+std::string cut_id(std::string_view line, const service::IdSpan& span) {
+  if (!span.present) return std::string(line);
+  return std::string(line.substr(0, span.cut_begin)) +
+         std::string(line.substr(span.cut_end));
+}
+
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(IdScanner, FindsTheTopLevelIdMember) {
+  struct Case {
+    std::string line;
+    std::string key;  ///< the line without its id member
+    std::string id;   ///< the id value's bytes; empty when absent
+  };
+  const Case cases[] = {
+      // First, middle, last, absent.
+      {R"({"id":7,"a":1})", R"({"a":1})", "7"},
+      {R"({"a":1,"id":"x","b":2})", R"({"a":1,"b":2})", R"("x")"},
+      {R"({"a":1,"b":2,"id":3})", R"({"a":1,"b":2})", "3"},
+      {R"({"a":1,"b":"id"})", R"({"a":1,"b":"id"})", ""},
+      // Ids that are strings with escapes, objects and arrays.
+      {R"({"id":"a\"b}\\","a":1})", R"({"a":1})", R"("a\"b}\\")"},
+      {R"({"a":"\"id\":1","id":{"x":"}","y":[1,{"z":"]"}]},"b":2})",
+       R"({"a":"\"id\":1","b":2})", R"({"x":"}","y":[1,{"z":"]"}]})"},
+      {R"({"a":1,"id":[1,"]",{"id":2}]})", R"({"a":1})", R"([1,"]",{"id":2}])"},
+      // Nested "id" keys are not the request's id.
+      {R"({"a":{"id":1},"b":[{"id":2}]})", R"({"a":{"id":1},"b":[{"id":2}]})",
+       ""},
+      {R"({"a":{"id":1},"b":[{"id":2}],"id":3})",
+       R"({"a":{"id":1},"b":[{"id":2}]})", "3"},
+      // Whitespace around every token.
+      {"  { \"a\" : 1 , \"id\" : 5 , \"b\" : 2 }  ",
+       "  { \"a\" : 1 , \"b\" : 2 }  ", "5"},
+      {"{ \"id\" :\t-2.5e3 ,\n \"a\":1}", "{ \"a\":1}", "-2.5e3"},
+      {"{\"id\":null }", "{}", "null"},
+      {"{}", "{}", ""},
+      // A malformed id is still located; Json::parse rejects it later.
+      {R"({"id":tru,"a":1})", R"({"a":1})", "tru"},
+      // Nesting up to the parser's limit.
+      {"{\"id\":" + nested_arrays(Json::kMaxParseDepth - 1) + "}", "{}",
+       nested_arrays(Json::kMaxParseDepth - 1)},
+  };
+  for (const Case& c : cases) {
+    service::IdSpan span;
+    ASSERT_TRUE(service::scan_request_id(c.line, span)) << c.line;
+    EXPECT_EQ(span.present, !c.id.empty()) << c.line;
+    EXPECT_EQ(cut_id(c.line, span), c.key) << c.line;
+    if (span.present) {
+      EXPECT_EQ(c.line.substr(span.value_begin,
+                              span.value_end - span.value_begin),
+                c.id)
+          << c.line;
+    }
+  }
+
+  const std::string refused[] = {
+      R"({"\u0069d":1,"a":2})",  // decodes to "id"
+      R"({"a\"b":1,"id":2})",    // any escaped top-level key
+      R"({"id":1,"id":2})",      // a second id
+      R"({"id":1,"a":{},"id":2})",
+      "[1]", "\"id\"", "7", "", "   ",  // not an object
+      R"({"id":1)", R"({"id":1} x)", R"({"id":1}})", R"({"id":1,})",
+      R"({"id" 1})", R"({"id":})", R"({,"id":1})", R"({"id":"open)",
+      R"({"a":1 "id":2})", R"({"a":[1,"id":2})",
+      // Deeper than the parser takes.
+      "{\"id\":" + nested_arrays(Json::kMaxParseDepth) + "}",
+  };
+  for (const std::string& line : refused) {
+    service::IdSpan span;
+    EXPECT_FALSE(service::scan_request_id(line, span)) << line;
+  }
+  // The depth limit is the parser's: one level less parses, as above.
+  EXPECT_NO_THROW(
+      Json::parse("{\"id\":" + nested_arrays(Json::kMaxParseDepth - 1) + "}"));
+  EXPECT_THROW(
+      Json::parse("{\"id\":" + nested_arrays(Json::kMaxParseDepth) + "}"),
+      std::exception);
+}
+
+TEST(RequestMemo, FindsLinesThatDifferOnlyInTheirId) {
+  service::RequestMemo memo(4);
+  Json id;
+  const std::string line = spec_request(1, 1.0, 50);
+  EXPECT_EQ(memo.find(line, id), nullptr);
+  memo.remember({service::Fingerprint{1, 2}, 50, false, "t"});
+  EXPECT_EQ(memo.size(), 1u);
+
+  const service::RequestMemo::Entry* seen =
+      memo.find(spec_request(77, 1.0, 50), id);
+  ASSERT_NE(seen, nullptr);
+  EXPECT_EQ(seen->fp, (service::Fingerprint{1, 2}));
+  EXPECT_EQ(seen->depth, 50u);
+  EXPECT_EQ(seen->label, "t");
+  EXPECT_EQ(id.dump(), "77");
+  // The same request without an id, or with another id value, is the
+  // same memo line; an id that does not parse on its own is not.
+  std::string no_id = line;
+  service::IdSpan span;
+  ASSERT_TRUE(service::scan_request_id(no_id, span));
+  no_id = cut_id(no_id, span);
+  ASSERT_NE(memo.find(no_id, id), nullptr);
+  EXPECT_TRUE(id.is_null());
+  std::string odd_id = line;
+  odd_id.replace(span.value_begin, span.value_end - span.value_begin,
+                 "{\"k\":[\"}\"]}");
+  ASSERT_NE(memo.find(odd_id, id), nullptr);
+  EXPECT_EQ(id.dump(), "{\"k\":[\"}\"]}");
+  odd_id = line;
+  odd_id.replace(span.value_begin, span.value_end - span.value_begin, "1e");
+  EXPECT_EQ(memo.find(odd_id, id), nullptr);
+  // Any other byte makes another line.
+  EXPECT_EQ(memo.find(spec_request(1, 1.0, 51), id), nullptr);
+}
+
+TEST(RequestMemo, IsBoundedLeastRecentlyUsedFirst) {
+  service::RequestMemo memo(2);
+  Json id;
+  for (const unsigned depth : {10u, 20u, 30u}) {
+    memo.find(spec_request(1, 1.0, depth), id);
+    memo.remember({service::Fingerprint{depth, 0}, depth, false, ""});
+  }
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(memo.find(spec_request(1, 1.0, 10), id), nullptr);
+  ASSERT_NE(memo.find(spec_request(1, 1.0, 20), id), nullptr);  // bumped
+  memo.find(spec_request(1, 1.0, 40), id);
+  memo.remember({service::Fingerprint{40, 0}, 40, false, ""});
+  EXPECT_NE(memo.find(spec_request(1, 1.0, 20), id), nullptr);
+  EXPECT_EQ(memo.find(spec_request(1, 1.0, 30), id), nullptr);
+
+  // A line longer than the byte budget is never kept; nor is one the
+  // scanner refused.
+  std::string huge = spec_request(1, 1.0, 10);
+  huge.insert(1, "\"pad\":\"" +
+                     std::string(service::RequestMemo::kMaxBytes, 'x') +
+                     "\",");
+  memo.find(huge, id);
+  memo.remember({});
+  EXPECT_EQ(memo.find(huge, id), nullptr);
+  memo.find("[1]", id);
+  memo.remember({});
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+/// A random edit of a request line: replace, drop, duplicate, move or
+/// escape its id; add whitespace; or flip, drop or insert one byte.
+std::string mutate(std::string line, std::mt19937_64& rng) {
+  static const std::string kIds[] = {
+      "5", "-0", "1e2", "1.50", "9007199254740993", "\"s\"", "\"a\\\"}b\"",
+      "\"\\u00e9\"", "{\"k\":[1,{\"id\":2}]}", "[]", "null", "true", "tru",
+      "1 2", "\"open", "{\"a\":1,\"a\":2}", "\"\x01\"",
+      nested_arrays(Json::kMaxParseDepth - 1),
+      nested_arrays(Json::kMaxParseDepth)};
+  static const std::string kBytes = "{}[]\",:\\ \t0a-.e";
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  service::IdSpan span;
+  const bool scanned = service::scan_request_id(line, span);
+  switch (pick(9)) {
+    case 0:  // another id value
+      if (scanned && span.present) {
+        line.replace(span.value_begin, span.value_end - span.value_begin,
+                     kIds[pick(std::size(kIds))]);
+      } else {
+        line.insert(1, "\"id\":" + kIds[pick(std::size(kIds))] + ",");
+      }
+      break;
+    case 1:  // no id
+      if (scanned) line = cut_id(line, span);
+      break;
+    case 2:  // a second id
+      line.insert(line.rfind('}'), ",\"id\":9");
+      break;
+    case 3:  // the id moved first
+      if (scanned && span.present) {
+        const std::string id = line.substr(
+            span.value_begin, span.value_end - span.value_begin);
+        line = cut_id(line, span);
+        line.insert(line.find('{') + 1, "\"id\":" + id + ",");
+      }
+      break;
+    case 4:
+      line.insert(pick(line.size() + 1), std::string(1 + pick(3), ' '));
+      break;
+    case 8:  // a key that decodes to "id"
+      if (scanned && span.present) {
+        line = cut_id(line, span);
+        line.insert(line.find('{') + 1, "\"\\u0069d\":" +
+                                            kIds[pick(std::size(kIds))] + ",");
+      }
+      break;
+    case 5:
+      if (!line.empty()) line[pick(line.size())] = kBytes[pick(kBytes.size())];
+      break;
+    case 6:
+      if (!line.empty()) line.erase(pick(line.size()), 1);
+      break;
+    default:
+      line.insert(pick(line.size() + 1), 1, kBytes[pick(kBytes.size())]);
+      break;
+  }
+  return line;
+}
+
+TEST(RequestMemo, MemoAnswersEqualTheFullParseOnMutatedLines) {
+  // Seed lines: flat single-class and series requests, a multiclass mix,
+  // and every committed example request.
+  std::vector<std::string> seeds;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const double scale = 1.0 + 0.1 * static_cast<double>(i);
+    seeds.push_back(spec_request(i, scale, 40 + 10 * static_cast<unsigned>(i)));
+    seeds.push_back(series_request(i + 10, scale, 60));
+  }
+  seeds.push_back(
+      "{\"id\":\"mc\",\"label\":\"mix\",\"stations\":[{\"name\":\"cpu\"},"
+      "{\"name\":\"net\",\"kind\":\"delay\"}],\"solver\":\"exact-multiclass\","
+      "\"series\":true,\"classes\":[{\"name\":\"search\",\"population\":4,"
+      "\"think\":1.0,\"demands\":[0.006,0.015]},{\"name\":\"browse\","
+      "\"population\":6,\"think\":1.0,\"demands\":[0.004,0.020]}]}");
+  std::size_t examples = 0;
+  for (const auto& file :
+       std::filesystem::directory_iterator(MTPERF_EXAMPLES_DIR)) {
+    const std::string name = file.path().filename().string();
+    if (file.path().extension() != ".jsonl" ||
+        name.find(".expected.") != std::string::npos) {
+      continue;
+    }
+    std::ifstream in(file.path());
+    for (std::string line; std::getline(in, line);) {
+      if (!line.empty()) {
+        seeds.push_back(line);
+        ++examples;
+      }
+    }
+  }
+  ASSERT_GT(examples, 0u);
+
+  service::Engine engine;
+  service::RequestMemo memo(1024);
+  // The server's two paths for one line.  Full: parse, fingerprint, probe.
+  // Memo: find, probe.  A line the memo answers must get the full path's
+  // bytes; the full path memoizes every scenario line it parses.
+  std::size_t memo_answers = 0;
+  std::size_t full_failures = 0;
+  const auto serve = [&](const std::string& line) {
+    Json id;
+    const service::RequestMemo::Entry* seen = memo.find(line, id);
+    std::optional<std::string> memo_bytes;
+    if (seen != nullptr) {
+      if (auto hit = engine.probe(seen->fp, seen->depth, seen->label)) {
+        memo_bytes.emplace();
+        service::append_evaluation(*memo_bytes, *hit, seen->series, id);
+      }
+    }
+    std::string full_bytes;
+    try {
+      service::ParsedRequest request = service::parse_request(line);
+      if (request.kind != service::RequestKind::kScenario) return;
+      const service::Fingerprint fp = service::fingerprint(request.spec);
+      auto hit = engine.probe(fp, request.spec.options.max_population,
+                              request.spec.label);
+      if (!hit) hit = engine.evaluate(request.spec);
+      service::append_evaluation(full_bytes, *hit, request.series, request.id);
+      memo.remember({fp, request.spec.options.max_population, request.series,
+                     request.spec.label});
+    } catch (const std::exception& e) {
+      ++full_failures;
+      EXPECT_FALSE(memo_bytes.has_value())
+          << "memo answered a line the parse rejects (" << e.what()
+          << "): " << line;
+      return;
+    }
+    if (memo_bytes) {
+      ++memo_answers;
+      EXPECT_EQ(*memo_bytes, full_bytes) << line;
+    }
+  };
+  for (const std::string& seed : seeds) serve(seed);
+  std::mt19937_64 rng(20261018);
+  for (int round = 0; round < 1000; ++round) {
+    for (const std::string& seed : seeds) {
+      std::string line = mutate(seed, rng);
+      if (rng() % 2 == 0) line = mutate(line, rng);
+      serve(line);
+    }
+  }
+  // Both outcomes occur often enough for the comparison to mean something.
+  EXPECT_GT(memo_answers, 1500u);
+  EXPECT_GT(full_failures, 1500u);
 }
 
 // --- single-flight dedup ---------------------------------------------------
@@ -1223,6 +1700,112 @@ TEST(SocketServer, PipelinedSeriesHitsAreAllAnswered) {
     seen[id] = true;
   }
   EXPECT_EQ(server.metrics().reader_hits, kHits);
+  server.stop();
+}
+
+TEST(SocketServer, RepeatedLinesSkipTheParseAndRenderOnce) {
+  service::ServerOptions options;
+  options.port = 0;
+  options.batch_deadline = std::chrono::microseconds(200);
+  service::Server server(options);
+  server.start();
+  Socket sock = connect_tcp(server.port());
+  // One series line three times, with different ids: a miss, then two
+  // hits that the memo answers without a parse, rendered once.
+  std::vector<std::string> answers;
+  for (const std::uint64_t id : {1ull, 22ull, 333ull}) {
+    ASSERT_TRUE(sock.send_all(series_request(id, 1.0, 500)));
+    const std::vector<std::string> lines = read_lines(sock, 1);
+    ASSERT_EQ(lines.size(), 1u);
+    std::string answer = lines[0];
+    const std::string echoed = "\"id\":" + std::to_string(id) + ",";
+    const std::size_t at = answer.find(echoed);
+    ASSERT_NE(at, std::string::npos) << answer;
+    answers.push_back(answer.erase(at, echoed.size()));
+  }
+  // The miss says so; the hits are identical apart from their ids.
+  EXPECT_NE(answers[0], answers[1]);
+  EXPECT_NE(answers[1].find("\"cache_hit\":true"), std::string::npos);
+  EXPECT_EQ(answers[1], answers[2]);
+  EXPECT_EQ(server.metrics().memo_hits, 2u);
+  EXPECT_EQ(server.metrics().reader_hits, 2u);
+  EXPECT_EQ(server.metrics().requests, 3u);
+  EXPECT_EQ(server.engine().metrics().series_renders, 1u);
+
+  const auto line = exchange(sock, {"{\"id\":9,\"cmd\":\"metrics\"}\n"}, 1);
+  ASSERT_TRUE(line.count(9));
+  EXPECT_EQ(line.at(9).at("server").at("memo_hits").as_number(), 2.0);
+  EXPECT_EQ(line.at(9).at("metrics").at("series_renders").as_number(), 1.0);
+  EXPECT_GT(line.at(9).at("metrics").at("series_bytes").as_number(), 0.0);
+  server.stop();
+}
+
+TEST(SocketServer, OverlongLinesAreRefusedAndServingContinues) {
+  service::ServerOptions options;
+  options.port = 0;
+  options.batch_deadline = std::chrono::microseconds(200);
+  service::Server server(options);
+  server.start();
+  Socket sock = connect_tcp(server.port());
+  // One line past the cap, sent in pieces, then a good request on the same
+  // connection.  Read concurrently so neither side's buffers fill.
+  std::thread sender([&sock] {
+    const std::string chunk(64 * 1024, ' ');
+    std::string first = "{\"id\":1,\"pad\":\"";
+    std::size_t sent = 0;
+    EXPECT_TRUE(sock.send_all(first));
+    sent += first.size();
+    while (sent <= service::kMaxRequestLineBytes) {
+      EXPECT_TRUE(sock.send_all(chunk));
+      sent += chunk.size();
+    }
+    EXPECT_TRUE(sock.send_all("\"}\n" + spec_request(2, 1.0, 100)));
+  });
+  const std::vector<std::string> lines = read_lines(sock, 2);
+  sender.join();
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], "{\"error\":\"mtperf: request line too long\"}");
+  const Json good = Json::parse(lines[1]);
+  EXPECT_EQ(good.at("id").as_number(), 2.0);
+  EXPECT_TRUE(good.contains("throughput"));
+  EXPECT_EQ(server.metrics().parse_errors, 1u);
+  server.stop();
+}
+
+/// Open descriptors of this process.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(SocketServer, ClosedConnectionsReleaseTheirDescriptors) {
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd to count descriptors";
+  }
+  service::ServerOptions options;
+  options.port = 0;
+  options.batch_deadline = std::chrono::microseconds(200);
+  service::Server server(options);
+  server.start();
+  const std::size_t baseline = open_fds();
+  // One connection at a time: each asks one question, reads the answer
+  // and hangs up.  Its server side must close once its reader is done.
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    Socket sock = connect_tcp(server.port());
+    ASSERT_TRUE(sock.send_all(spec_request(i, 1.0, 20)));
+    ASSERT_EQ(read_lines(sock, 1).size(), 1u) << i;
+  }
+  std::size_t now = open_fds();
+  for (int wait = 0; wait < 500 && now > baseline; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    now = open_fds();
+  }
+  EXPECT_LE(now, baseline);
+  EXPECT_EQ(server.metrics().connections, 200u);
   server.stop();
 }
 

@@ -10,8 +10,10 @@
 //   Announces readiness on stdout as {"listening":{"port":N}} — with
 //   --port 0 the kernel picks the port and N reports it — then serves
 //   until a client sends {"cmd":"shutdown"}.  Cache hits are answered
-//   by the connection's reader thread as soon as they are parsed; misses
-//   from all connections are micro-batched into Engine::evaluate_batch.
+//   by the connection's reader thread as soon as they are parsed (a line
+//   the connection sent before, but for its "id", is not parsed again);
+//   misses from all connections are micro-batched into
+//   Engine::evaluate_batch.
 //   Responses may return out of request order, matched by the echoed
 //   "id".  When the bounded submission queue or a connection's in-flight
 //   cap on misses is full the server sheds with an immediate
