@@ -1,12 +1,20 @@
 #include "core/detail/batch_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <xmmintrin.h>
+#endif
+
 #include "common/error.hpp"
 #include "core/detail/multiclass_batch_engine.hpp"
+
+// GCC warns that returning a lane vector by value has another ABI with and
+// without AVX.  The lane vectors below never cross a function boundary
+// (every helper is always_inline), so the warning does not apply.
+#pragma GCC diagnostic ignored "-Wpsabi"
 
 namespace mtperf::core::detail {
 
@@ -20,48 +28,62 @@ namespace mtperf::core::detail {
 // layout only interchanges the *lane* loop to the inside — lanes are
 // independent recursions, so vectorizing across them reorders nothing
 // within a lane and the batched results are bit-identical to scalar
-// solves (the parity tests assert <= 1e-12; in practice the difference is
-// zero).
+// solves.
 //
-// The one deliberate deviation: subnormal marginal stores are flushed to
-// exact zero.  A subnormal P_k(j) is below 2^-1022 while the sums it feeds
+// The one deliberate deviation: marginal slots below DBL_MIN are flushed
+// to exact zero.  Such a P_k(j) sits below 2^-1022 while the sums it feeds
 // — the correction term F, the weighted tail, the probabilities' own
-// normalization — are on the order of P_k(0..j*) which the same
+// normalization — are on the order of P_k(0..j*), which the same
 // distribution keeps near 1/C_k or larger whenever a tail slot can
 // underflow (tails only underflow when the distribution is concentrated
 // far below C_k).  The flushed slot therefore sits below half an ulp of
 // every exported quantity, and dropping it leaves throughput, residence,
 // queue, and utilization bit-identical; what it buys is that the
-// underflowed tail stops propagating (zero operands instead of denormal
-// assists) and stays out of the clamped support walk below.
+// underflowed tail stops propagating and stays out of the clamped support
+// walk below.
 //
-// Hot-loop shape: the lane dimension is padded to a multiple of kLaneChunk
-// and every inner loop runs over a compile-time kLaneChunk-wide chunk with
-// unit stride and restrict-qualified pointers.  The constant trip count
-// lets the compiler unroll each chunk into a couple of vector ops with no
-// prologue/epilogue; at 16-lane blocks a runtime trip count spends more
-// cycles on loop setup than on the math.  The two per-level hot functions
-// are cloned per ISA (see MTPERF_ISA_CLONES) so a portable binary still
-// runs 4- or 8-wide on AVX2/AVX-512 hosts.  This file is compiled with
-// -ffp-contract=off (see src/core/CMakeLists.txt): no clone may contract
-// a*b+c into an FMA, because the parity contract is bit-identical results
-// on every ISA the dispatcher can pick.
-
-#if defined(__clang__)
-#define MTPERF_SIMD _Pragma("clang loop vectorize(enable)")
-#elif defined(__GNUC__)
-#define MTPERF_SIMD _Pragma("GCC ivdep")
-#else
-#define MTPERF_SIMD
-#endif
+// Loop shape.  Each hot loop works on whole lane vectors (GCC vector
+// extensions, one SSE2/AVX2/AVX-512 register of W doubles), so every ISA
+// version vectorizes across lanes and never transposes.  The two occupancy
+// walks — the correction sum F in residence_level and the marginal update
+// in update_level — run one 16-lane group (two 8-lane chunks; a trailing
+// chunk alone) at a time over the whole walk, with that group's sums held
+// in registers; each lane still adds its terms one at a time in the
+// scalar engine's order.  This file is compiled with -ffp-contract=off
+// (see src/core/CMakeLists.txt): no a*b+c is contracted, and the only
+// FMAs are the explicit ones of the exact division below.
+//
+// Exact division.  The marginal walk's quotient xs * P(j-1) / j is the
+// walk's one divide per slot.  The AVX2 and AVX-512 versions compute it as
+// q = a * r_j, q' = fma(fma(-j, q, a), r_j, q) with r_j = RN(1/j): for
+// integer j < 2^51 and a normal quotient, q is within two ulps of a/j, the
+// residual a - j*q is exact, and q' is the correctly rounded a/j
+// (Markstein), so q' == a / j bit for bit.  They carry the dividend
+// at 2^64 scale (xs * 2^64, with r_j * 2^-64 and -j * 2^64 to match), which
+// yields the same q and q' but keeps the residual a normal number for
+// every quotient >= DBL_MIN — see flush-to-zero below.  The SSE2 baseline
+// and builds without ISA versions keep the division.
+//
+// Flush-to-zero.  The marginal walk runs with MXCSR's flush-to-zero bit
+// set (not denormals-are-zero), restored when the walk ends.  A product
+// or quotient that would round to a subnormal then comes out as zero
+// instead of taking a microcode assist; those are exactly the slots the
+// DBL_MIN flush above zeroes anyway.  The boundary case — a quotient that
+// rounds up to exactly DBL_MIN from below — reads zero under FTZ; it is
+// negligible by the same half-ulp argument.  Everything outside the walk
+// (tabulation, cursor evaluation, the residence sweep, the Q/U updates,
+// the saturation clamps) runs in the caller's mode.
 
 namespace {
 
-/// Lanes per compile-time inner chunk: one AVX-512 vector, two AVX2
-/// vectors, four SSE2 vectors of doubles.  Block lane counts are padded up
-/// to a multiple of this; padded lanes run a harmless all-zero recursion
-/// (zero demands and visits, unit think time) and are never flushed.
+/// Lanes per padding chunk: lane counts are padded up to a multiple of
+/// this; padded lanes run a harmless all-zero recursion (zero demands and
+/// visits, unit think time) and are never flushed.
 constexpr std::size_t kLaneChunk = 8;
+
+/// Lanes per occupancy-walk group: two chunks, whose sums the walks keep
+/// in registers across all occupancies (two zmm, four ymm or eight xmm).
+constexpr std::size_t kLaneGroup = 2 * kLaneChunk;
 
 /// Levels of staged output rows flushed to the per-lane results at once.
 /// The recursion writes its per-population rows into a lane-major staging
@@ -71,19 +93,118 @@ constexpr std::size_t kLaneChunk = 8;
 /// arrays x L lanes of concurrent write streams defeat the cache).
 constexpr std::size_t kLevelWindow = 64;
 
-/// True when 1/d is exactly representable, i.e. d is a power of two.  Then
-/// x / d == x * (1/d) bit-for-bit for every x (the quotient is just an
-/// exponent shift, exact in IEEE-754 for multiply and divide alike), so the
-/// kernel may replace the division without breaking scalar parity.  MVA
-/// divisors are small positive integers — server counts and occupancy
-/// indices — so this fires for C_k in {1, 2, 4, 8, 16, 32, ...} and for
-/// marginal indices j in {1, 2, 4, 8, ...}, which is most of the recursion's
-/// division budget (divides are an order of magnitude slower than
-/// multiplies and are what the lockstep inner loops otherwise spend their
-/// time on).
-bool exact_reciprocal(double d) {
-  int exponent = 0;
-  return d > 0.0 && std::frexp(d, &exponent) == 0.5;
+/// The exact division's scales (see the implementation note): dividends
+/// ride at 2^64, reciprocals at 2^-64.
+constexpr double kDividendScale = 0x1p64;
+constexpr double kReciprocalScale = 0x1p-64;
+
+#define MTPERF_LANE_INLINE [[gnu::always_inline]] inline
+
+/// W doubles in one vector register, its unaligned memory form, and the
+/// matching integer vector (a shuffle mask).
+template <int W>
+struct Lanes {
+  typedef double type __attribute__((vector_size(W * sizeof(double))));
+  typedef double memory
+      __attribute__((vector_size(W * sizeof(double)), aligned(sizeof(double))));
+  typedef long long mask __attribute__((vector_size(W * sizeof(double))));
+};
+
+template <int W>
+MTPERF_LANE_INLINE typename Lanes<W>::type load(const double* p) {
+  return *reinterpret_cast<const typename Lanes<W>::memory*>(p);
+}
+
+template <int W>
+MTPERF_LANE_INLINE void store(double* p, const typename Lanes<W>::type& v) {
+  *reinterpret_cast<typename Lanes<W>::memory*>(p) = v;
+}
+
+/// `s` in every lane.  GCC turns the shuffle into one broadcast; an
+/// element-wise fill or a brace list compiles to one masked insert per
+/// lane.
+template <int W>
+MTPERF_LANE_INLINE typename Lanes<W>::type splat(double s) {
+#if defined(__GNUC__) && !defined(__clang__)
+  return __builtin_shuffle(typename Lanes<W>::type{s},
+                           typename Lanes<W>::mask{});
+#else
+  typename Lanes<W>::type v;
+  for (int i = 0; i < W; ++i) v[i] = s;
+  return v;
+#endif
+}
+
+/// Lane-wise fused multiply-add, one rounding per lane.
+template <int W>
+MTPERF_LANE_INLINE typename Lanes<W>::type fma(
+    const typename Lanes<W>::type& a, const typename Lanes<W>::type& b,
+    const typename Lanes<W>::type& c) {
+  typename Lanes<W>::type r;
+#pragma GCC unroll 8
+  for (int i = 0; i < W; ++i) r[i] = __builtin_fma(a[i], b[i], c[i]);
+  return r;
+}
+
+/// The exact division's constants for divisor j: r_j * 2^-64 and
+/// -j * 2^64 (both exact scalings).
+struct Divisor {
+  double recip = 0.0;
+  double neg_j = 0.0;
+
+  static Divisor of(unsigned j) {
+    const double dj = static_cast<double>(j);
+    return {1.0 / dj * kReciprocalScale, -dj * kDividendScale};
+  }
+};
+
+#if defined(__x86_64__) || defined(__i386__)
+#define MTPERF_HAS_MXCSR 1
+#else
+#define MTPERF_HAS_MXCSR 0
+#endif
+
+/// MXCSR flush-to-zero for the lifetime of the guard, then the caller's
+/// mode back.  Without MXCSR (non-x86) it does nothing and the walk's
+/// explicit DBL_MIN select flushes instead.
+class FlushToZero {
+ public:
+#if MTPERF_HAS_MXCSR
+  FlushToZero() : saved_(_mm_getcsr()) {
+    _mm_setcsr(saved_ | _MM_FLUSH_ZERO_ON);
+  }
+  ~FlushToZero() { _mm_setcsr(saved_); }
+
+ private:
+  unsigned saved_;
+#else
+  FlushToZero() {}
+#endif
+};
+
+/// One marginal slot for W lanes: P(j) = xs * P(j-1) / j, zero below
+/// DBL_MIN, under FlushToZero.  With kFmaDivide, `xs` arrives scaled by
+/// kDividendScale.  Under MXCSR flush-to-zero every result is either zero
+/// or at least DBL_MIN (x86 detects tininess after rounding), so the
+/// DBL_MIN select is needed only where there is no MXCSR.
+template <int W, bool kFmaDivide>
+MTPERF_LANE_INLINE typename Lanes<W>::type marginal_slot(
+    const typename Lanes<W>::type& xs, const typename Lanes<W>::type& prev,
+    unsigned j, const Divisor& d) {
+  using V = typename Lanes<W>::type;
+  const V a = xs * prev;
+  V t;
+  if constexpr (kFmaDivide) {
+    const V r = splat<W>(d.recip);
+    const V q = a * r;
+    t = fma<W>(fma<W>(splat<W>(d.neg_j), q, a), r, q);
+  } else {
+    t = a / static_cast<double>(j);
+  }
+  if constexpr (!MTPERF_HAS_MXCSR) {
+    t = t >= std::numeric_limits<double>::min() ? t : V{};
+  }
+  return t;
 }
 
 /// The per-station structure every lane of a group shares, mirrored into
@@ -129,8 +250,8 @@ struct GroupStructure {
 };
 
 /// Pointer view of one population level's lockstep state, shared by the
-/// ISA-cloned hot functions below.  `lanes` is the padded lane stride of
-/// every array (a multiple of kLaneChunk).
+/// ISA versions of the hot functions below.  `lanes` is the padded lane
+/// stride of every array (a multiple of kLaneChunk).
 struct LevelView {
   std::size_t k_count = 0;
   std::size_t lanes = 0;
@@ -141,17 +262,14 @@ struct LevelView {
   const double* s_now = nullptr;
   const double* visits = nullptr;
   const double* x = nullptr;
-  /// Occupancy tables indexed by j in [1, max servers]: 1.0 / j and
-  /// whether that reciprocal is exact (j a power of two), hoisted out of
-  /// the marginal sweep.
-  const double* inv_occ = nullptr;
-  const unsigned char* occ_pow2 = nullptr;
+  /// Divisor constants indexed by occupancy j in [1, max servers].
+  const Divisor* divisors = nullptr;
   /// Per-station support high-water: the largest occupancy j whose P_k(j)
   /// is nonzero in any lane.  Slots above it are exact zeros, so both
   /// marginal sweeps clamp to it — the support can only grow by one slot
   /// per population level (P_k(j) at level n is built from P_k(j-1) at
   /// level n-1) and it stalls where the tail underflows, which at large
-  /// server counts leaves most of the occupancy range permanently zero.
+  /// server counts leaves the top of the occupancy range permanently zero.
   /// update_level maintains it.
   std::size_t* occ_support = nullptr;
   double* queue = nullptr;
@@ -164,26 +282,75 @@ struct LevelView {
   double* wtail = nullptr;
 };
 
-// Per-ISA clones of the two per-level hot functions.  GCC emits one body
-// per listed target and an ifunc resolver that picks the widest one the
-// host supports at load time — the binary stays portable, the hot loops
-// still get ymm/zmm vectors on hosts that have them.  With -ffp-contract
-// off, every clone executes the same IEEE op sequence, so the pick cannot
-// change results.  ThreadSanitizer builds go without: the ifunc
-// resolvers run before the TSan runtime starts and crash the binary.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__ELF__) && !defined(__SANITIZE_THREAD__)
-#define MTPERF_ISA_CLONES \
-  __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
-#else
-#define MTPERF_ISA_CLONES
-#endif
+/// F = sum_{j < j_end} (C - 1 - j) P(j) for the G lanes at `pk`, ascending
+/// j with one register accumulator per lane vector.
+template <int W, std::size_t G>
+MTPERF_LANE_INLINE void correction_walk(const double* __restrict pk,
+                                        std::size_t L, unsigned j_end,
+                                        double c, double* __restrict f) {
+  using V = typename Lanes<W>::type;
+  constexpr std::size_t U = G / W;
+  V acc[U];
+#pragma GCC unroll 8
+  for (std::size_t u = 0; u < U; ++u) acc[u] = V{};
+  // The weight C - 1 - j, stepped down by one: small integers, so every
+  // step is exact and equals the scalar engine's expression.
+  V w = splat<W>(c - 1.0);
+  for (unsigned j = 0; j < j_end; ++j) {
+    const double* __restrict pj = pk + j * L;
+#pragma GCC unroll 8
+    for (std::size_t u = 0; u < U; ++u) acc[u] += w * load<W>(pj + u * W);
+    w -= 1.0;
+  }
+#pragma GCC unroll 8
+  for (std::size_t u = 0; u < U; ++u) store<W>(f + u * W, acc[u]);
+}
+
+/// The marginal update P(j) for j = j_top..1 and its weighted tail
+/// sum_j (C - j) P(j) for the G lanes at `pk`, descending j with one
+/// register accumulator per lane vector.  Writing j reads the previous
+/// population's j-1 slot, which the descending walk has not yet
+/// overwritten — the scalar engine's in-place trick.
+template <int W, std::size_t G, bool kFmaDivide>
+MTPERF_LANE_INLINE void marginal_walk(double* __restrict pk, std::size_t L,
+                                      unsigned j_top, double c,
+                                      const double* __restrict xs,
+                                      double* __restrict wt,
+                                      const Divisor* divisors) {
+  using V = typename Lanes<W>::type;
+  constexpr std::size_t U = G / W;
+  V x[U], acc[U];
+#pragma GCC unroll 8
+  for (std::size_t u = 0; u < U; ++u) {
+    x[u] = load<W>(xs + u * W);
+    if constexpr (kFmaDivide) x[u] *= kDividendScale;
+    acc[u] = V{};
+  }
+  // The weight C - j, stepped up by one as j falls (exact, see
+  // correction_walk).
+  V w = splat<W>(c - static_cast<double>(j_top));
+  for (unsigned j = j_top; j >= 1; --j) {
+    double* __restrict pj = pk + j * L;
+    const double* __restrict pjm1 = pk + (j - 1) * L;
+#pragma GCC unroll 8
+    for (std::size_t u = 0; u < U; ++u) {
+      const V t = marginal_slot<W, kFmaDivide>(x[u], load<W>(pjm1 + u * W),
+                                               j, divisors[j]);
+      store<W>(pj + u * W, t);
+      acc[u] += w * t;
+    }
+    w += 1.0;
+  }
+#pragma GCC unroll 8
+  for (std::size_t u = 0; u < U; ++u) store<W>(wt + u * W, acc[u]);
+}
 
 /// Residence sweep (Eq. 10/11): stations ascending exactly like the scalar
 /// engine; each station's branch is taken once for all lanes.
-MTPERF_ISA_CLONES void residence_level(const LevelView& v) {
+template <int W>
+MTPERF_LANE_INLINE void residence_kernel(const LevelView& v) {
+  using V = typename Lanes<W>::type;
   const std::size_t L = v.lanes;
-  const std::size_t chunks = L / kLaneChunk;
   double* __restrict tot = v.total;
   std::fill(tot, tot + L, 0.0);
   for (std::size_t k = 0; k < v.k_count; ++k) {
@@ -192,72 +359,37 @@ MTPERF_ISA_CLONES void residence_level(const LevelView& v) {
     const double* __restrict vk = v.visits + k * L;
     double* __restrict rk = v.residence + k * L;
     if (v.is_delay[k] != 0) {
-      for (std::size_t b = 0; b < chunks; ++b) {
-        MTPERF_SIMD
-        for (std::size_t i = 0; i < kLaneChunk; ++i) {
-          const std::size_t l = b * kLaneChunk + i;
-          const double wait = sk[l];
-          rk[l] = vk[l] * wait;
-          tot[l] += rk[l];
-        }
+      for (std::size_t l = 0; l < L; l += W) {
+        const V r = load<W>(vk + l) * load<W>(sk + l);
+        store<W>(rk + l, r);
+        store<W>(tot + l, load<W>(tot + l) + r);
       }
     } else if (v.servers[k] == 1) {
-      for (std::size_t b = 0; b < chunks; ++b) {
-        MTPERF_SIMD
-        for (std::size_t i = 0; i < kLaneChunk; ++i) {
-          const std::size_t l = b * kLaneChunk + i;
-          const double wait = sk[l] * (1.0 + qk[l]);
-          rk[l] = vk[l] * wait;
-          tot[l] += rk[l];
-        }
+      for (std::size_t l = 0; l < L; l += W) {
+        const V wait = load<W>(sk + l) * (1.0 + load<W>(qk + l));
+        const V r = load<W>(vk + l) * wait;
+        store<W>(rk + l, r);
+        store<W>(tot + l, load<W>(tot + l) + r);
       }
     } else {
       const double c = v.cap[k];
-      const unsigned servers = v.servers[k];
       const double* __restrict pk = v.p + v.p_offset[k] * L;
       double* __restrict fl = v.f;
-      std::fill(fl, fl + L, 0.0);
-      // Occupancy-outer: all lane chunks advance together through the
-      // j-walk, so their dependency chains interleave and hide each
-      // other's latency (chunk-outer order serializes them and measures
-      // 20-50% slower).  Slots above the support high-water are exact
-      // zeros — skipping them adds nothing to f and is bit-exact.
+      // Slots above the support high-water are exact zeros — skipping them
+      // adds nothing to F and is bit-exact.
       const unsigned j_end = static_cast<unsigned>(
-          std::min<std::size_t>(servers - 1, v.occ_support[k] + 1));
-      for (unsigned j = 0; j < j_end; ++j) {
-        const double w = c - 1.0 - static_cast<double>(j);
-        const double* __restrict pj = pk + j * L;
-        for (std::size_t b = 0; b < chunks; ++b) {
-          MTPERF_SIMD
-          for (std::size_t i = 0; i < kLaneChunk; ++i) {
-            const std::size_t l = b * kLaneChunk + i;
-            fl[l] += w * pj[l];
-          }
-        }
+          std::min<std::size_t>(v.servers[k] - 1, v.occ_support[k] + 1));
+      std::size_t g = 0;
+      for (; g + kLaneGroup <= L; g += kLaneGroup) {
+        correction_walk<W, kLaneGroup>(pk + g, L, j_end, c, fl + g);
       }
-      // Divides dominate the lockstep loops; when c is a power of two the
-      // reciprocal multiply is bit-identical (see exact_reciprocal).
-      if (exact_reciprocal(c)) {
-        const double inv_c = 1.0 / c;
-        for (std::size_t b = 0; b < chunks; ++b) {
-          MTPERF_SIMD
-          for (std::size_t i = 0; i < kLaneChunk; ++i) {
-            const std::size_t l = b * kLaneChunk + i;
-            const double wait = sk[l] * inv_c * (1.0 + qk[l] + fl[l]);
-            rk[l] = vk[l] * wait;
-            tot[l] += rk[l];
-          }
-        }
-      } else {
-        for (std::size_t b = 0; b < chunks; ++b) {
-          MTPERF_SIMD
-          for (std::size_t i = 0; i < kLaneChunk; ++i) {
-            const std::size_t l = b * kLaneChunk + i;
-            const double wait = sk[l] / c * (1.0 + qk[l] + fl[l]);
-            rk[l] = vk[l] * wait;
-            tot[l] += rk[l];
-          }
-        }
+      if (g < L) correction_walk<W, kLaneChunk>(pk + g, L, j_end, c, fl + g);
+      for (std::size_t l = 0; l < L; l += W) {
+        const V wait = load<W>(sk + l) / c *
+                       (1.0 + load<W>(qk + l) + load<W>(fl + l));
+        const V r = load<W>(vk + l) * wait;
+        store<W>(rk + l, r);
+        store<W>(tot + l, load<W>(tot + l) + r);
       }
     }
   }
@@ -266,9 +398,10 @@ MTPERF_ISA_CLONES void residence_level(const LevelView& v) {
 /// Update sweep: queues, utilizations, marginal distributions — the same
 /// expressions, accumulation order, and clamp comparisons as the scalar
 /// engine's post-throughput block.
-MTPERF_ISA_CLONES void update_level(const LevelView& v) {
+template <int W, bool kFmaDivide>
+MTPERF_LANE_INLINE void update_kernel(const LevelView& v) {
+  using V = typename Lanes<W>::type;
   const std::size_t L = v.lanes;
-  const std::size_t chunks = L / kLaneChunk;
   const double* __restrict xl = v.x;
   for (std::size_t k = 0; k < v.k_count; ++k) {
     const double* __restrict sk = v.s_now + k * L;
@@ -277,26 +410,10 @@ MTPERF_ISA_CLONES void update_level(const LevelView& v) {
     double* __restrict qk = v.queue + k * L;
     double* __restrict uk = v.util + k * L;
     const double c = v.cap[k];
-    const bool c_pow2 = exact_reciprocal(c);
-    const double inv_c = 1.0 / c;
-    if (c_pow2) {
-      for (std::size_t b = 0; b < chunks; ++b) {
-        MTPERF_SIMD
-        for (std::size_t i = 0; i < kLaneChunk; ++i) {
-          const std::size_t l = b * kLaneChunk + i;
-          qk[l] = xl[l] * rk[l];
-          uk[l] = xl[l] * vk[l] * sk[l] * inv_c;
-        }
-      }
-    } else {
-      for (std::size_t b = 0; b < chunks; ++b) {
-        MTPERF_SIMD
-        for (std::size_t i = 0; i < kLaneChunk; ++i) {
-          const std::size_t l = b * kLaneChunk + i;
-          qk[l] = xl[l] * rk[l];
-          uk[l] = xl[l] * vk[l] * sk[l] / c;
-        }
-      }
+    for (std::size_t l = 0; l < L; l += W) {
+      const V x = load<W>(xl + l);
+      store<W>(qk + l, x * load<W>(rk + l));
+      store<W>(uk + l, x * load<W>(vk + l) * load<W>(sk + l) / c);
     }
     if (v.p_offset[k + 1] == v.p_offset[k]) continue;
 
@@ -304,57 +421,24 @@ MTPERF_ISA_CLONES void update_level(const LevelView& v) {
     double* __restrict pk = v.p + v.p_offset[k] * L;
     double* __restrict xsl = v.xs;
     double* __restrict wt = v.wtail;
-    const double* __restrict inv_occ = v.inv_occ;
-    const unsigned char* __restrict occ_pow2 = v.occ_pow2;
-    for (std::size_t b = 0; b < chunks; ++b) {
-      MTPERF_SIMD
-      for (std::size_t i = 0; i < kLaneChunk; ++i) {
-        const std::size_t l = b * kLaneChunk + i;
-        xsl[l] = xl[l] * vk[l] * sk[l];  // expected busy servers
-        wt[l] = 0.0;
-      }
+    for (std::size_t l = 0; l < L; l += W) {
+      // expected busy servers
+      store<W>(xsl + l, load<W>(xl + l) * load<W>(vk + l) * load<W>(sk + l));
     }
-    // Descending occupancies: writing j reads the previous population's
-    // j-1 lane vector, which this sweep has not yet overwritten — same
-    // in-place trick as the scalar engine, one lane vector at a time.
-    // Occupancy-outer keeps the chunks' divide chains interleaved (see
-    // residence_level).
-    //
     // The walk is clamped to one slot above the support high-water — every
     // deeper slot reads a zero and writes a zero, so skipping it is exact.
-    // Stores flush subnormals to zero (see the implementation note): the
-    // slot's contribution to every sum it can ever reach is below half an
-    // ulp of that sum, so no exported value changes, and the tail stops
-    // burning denormal assists and stops growing.
     const unsigned j_top = static_cast<unsigned>(std::min<std::size_t>(
         servers - 1, v.occ_support[k] + 1));
-    constexpr double kTiny = std::numeric_limits<double>::min();
-    for (unsigned j = j_top; j >= 1; --j) {
-      const double dj = static_cast<double>(j);
-      const double w = c - dj;
-      double* __restrict pj = pk + j * L;
-      const double* __restrict pjm1 = pk + (j - 1) * L;
-      if (occ_pow2[j] != 0) {
-        const double inv_j = inv_occ[j];
-        for (std::size_t b = 0; b < chunks; ++b) {
-          MTPERF_SIMD
-          for (std::size_t i = 0; i < kLaneChunk; ++i) {
-            const std::size_t l = b * kLaneChunk + i;
-            const double t = xsl[l] * pjm1[l] * inv_j;
-            pj[l] = t >= kTiny ? t : 0.0;
-            wt[l] += w * pj[l];
-          }
-        }
-      } else {
-        for (std::size_t b = 0; b < chunks; ++b) {
-          MTPERF_SIMD
-          for (std::size_t i = 0; i < kLaneChunk; ++i) {
-            const std::size_t l = b * kLaneChunk + i;
-            const double t = xsl[l] * pjm1[l] / dj;
-            pj[l] = t >= kTiny ? t : 0.0;
-            wt[l] += w * pj[l];
-          }
-        }
+    {
+      [[maybe_unused]] const FlushToZero ftz;
+      std::size_t g = 0;
+      for (; g + kLaneGroup <= L; g += kLaneGroup) {
+        marginal_walk<W, kLaneGroup, kFmaDivide>(pk + g, L, j_top, c, xsl + g,
+                                                 wt + g, v.divisors);
+      }
+      if (g < L) {
+        marginal_walk<W, kLaneChunk, kFmaDivide>(pk + g, L, j_top, c, xsl + g,
+                                                 wt + g, v.divisors);
       }
     }
     // Saturation clamps are rare per-lane branches; they run scalar over
@@ -373,8 +457,7 @@ MTPERF_ISA_CLONES void update_level(const LevelView& v) {
         for (unsigned j = 1; j < servers; ++j) pk[j * L + l] *= scale;
         pk[l] = 0.0;
       } else {
-        const double head = idle - wt[l];
-        pk[l] = c_pow2 ? head * inv_c : head / c;
+        pk[l] = (idle - wt[l]) / c;
       }
     }
     // Re-establish the support high-water: highest occupancy with any
@@ -393,7 +476,55 @@ MTPERF_ISA_CLONES void update_level(const LevelView& v) {
   }
 }
 
+// Per-ISA versions of the two per-level hot functions.  GCC emits one
+// body per target and an ifunc resolver that picks the widest one the host
+// supports at load time — the binary stays portable, the hot loops still
+// get ymm/zmm vectors and the FMA division on hosts that have them.  Every
+// version computes the same bits per lane, so the pick cannot change
+// results.  ThreadSanitizer builds go without: the ifunc resolvers
+// run before the TSan runtime starts and crash the binary.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    defined(__ELF__) && !defined(__SANITIZE_THREAD__)
+__attribute__((target("default"))) void residence_level(const LevelView& v) {
+  residence_kernel<2>(v);
+}
+__attribute__((target("arch=x86-64-v3"))) void residence_level(
+    const LevelView& v) {
+  residence_kernel<4>(v);
+}
+__attribute__((target("arch=x86-64-v4"))) void residence_level(
+    const LevelView& v) {
+  residence_kernel<8>(v);
+}
+__attribute__((target("default"))) void update_level(const LevelView& v) {
+  update_kernel<2, false>(v);
+}
+__attribute__((target("arch=x86-64-v3"))) void update_level(
+    const LevelView& v) {
+  update_kernel<4, true>(v);
+}
+__attribute__((target("arch=x86-64-v4"))) void update_level(
+    const LevelView& v) {
+  update_kernel<8, true>(v);
+}
+#else
+void residence_level(const LevelView& v) { residence_kernel<2>(v); }
+void update_level(const LevelView& v) { update_kernel<2, false>(v); }
+#endif
+
 }  // namespace
+
+double marginal_step(double xs, double p_prev, unsigned j, bool fma_divide) {
+  MTPERF_REQUIRE(j >= 1, "marginal occupancy must be at least 1");
+  using V = Lanes<1>::type;
+  const Divisor d = Divisor::of(j);
+  [[maybe_unused]] const FlushToZero ftz;
+  const V t = fma_divide
+                  ? marginal_slot<1, true>(V{xs * kDividendScale}, V{p_prev},
+                                           j, d)
+                  : marginal_slot<1, false>(V{xs}, V{p_prev}, j, d);
+  return t[0];
+}
 
 bool batchable_solver(SolverKind kind) {
   // Both kinds dispatch to run_multiserver_mva — one recursion, so mixed
@@ -544,16 +675,11 @@ std::vector<MvaResult> solve_lane_block(std::vector<BatchLane>& lanes) {
   std::vector<double> f(Lp, 0.0), xs(Lp, 0.0), wtail(Lp, 0.0);
   std::vector<double> scratch(K);
 
-  const unsigned max_servers =
-      *std::max_element(st.servers.begin(), st.servers.end());
-  std::vector<double> inv_occ(max_servers + 1, 0.0);
-  std::vector<unsigned char> occ_pow2(max_servers + 1, 0);
+  std::vector<Divisor> divisors(
+      *std::max_element(st.servers.begin(), st.servers.end()) + 1);
+  for (unsigned j = 1; j < divisors.size(); ++j) divisors[j] = Divisor::of(j);
   // At population 0 every marginal distribution is the point mass P_k(0).
   std::vector<std::size_t> occ_support(K, 0);
-  for (unsigned j = 1; j <= max_servers; ++j) {
-    inv_occ[j] = 1.0 / static_cast<double>(j);
-    occ_pow2[j] = exact_reciprocal(static_cast<double>(j)) ? 1 : 0;
-  }
 
   LevelView view;
   view.k_count = K;
@@ -565,8 +691,7 @@ std::vector<MvaResult> solve_lane_block(std::vector<BatchLane>& lanes) {
   view.s_now = s_now.data();
   view.visits = visits.data();
   view.x = x.data();
-  view.inv_occ = inv_occ.data();
-  view.occ_pow2 = occ_pow2.data();
+  view.divisors = divisors.data();
   view.occ_support = occ_support.data();
   view.queue = queue.data();
   view.residence = residence.data();

@@ -7,11 +7,10 @@
 // population recursion n = 1..N once for a whole group of such scenarios
 // ("lanes"), with every piece of per-scenario state laid out lane-major:
 // state[k][lane], contiguous across the batch.  The inner station loop then
-// becomes a dense sweep over lanes that auto-vectorizes under -O3 — the
+// becomes a dense sweep over lanes, written on SIMD vectors of lanes — the
 // batch dimension is the one axis the exact recursion can exploit without
-// approximation (per-lane arithmetic stays operation-for-operation
-// identical to the scalar engine, so results match scalar solves
-// bit-for-bit).
+// approximation (per-lane arithmetic stays identical to the scalar
+// engine's, so results match scalar solves bit-for-bit).
 //
 // Ragged batches (per-lane max_population) are handled by lane retirement:
 // lanes are ordered by descending population so the active set is always a
@@ -34,11 +33,12 @@
 
 namespace mtperf::core::detail {
 
-/// Lanes per lockstep block.  Two doubles per SSE vector means 16 lanes
-/// already saturate the vector units; wider blocks only grow the working
-/// set (state, marginals, and the staged output window) past L1/L2 and
-/// measurably slow the kernel, while 16-lane blocks still split a
-/// 256-scenario batch into enough work units to feed every pool worker.
+/// Lanes per lockstep block: one 16-lane group of the occupancy walks,
+/// whose sums stay in registers (two AVX-512 vectors), so each walk step
+/// keeps two independent vector chains in flight.  Wider blocks grow the
+/// working set (state, marginals, and the staged output window) past
+/// L1/L2, and 16-lane blocks still split a 256-scenario batch into enough
+/// work units to feed every pool worker.
 inline constexpr std::size_t kBatchLaneBlock = 16;
 
 /// One scenario of a structure-compatible group.  `network` and `demands`
@@ -91,5 +91,12 @@ BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs);
 /// kBatchLaneBlock-sized blocks (see plan_batch) and run blocks in
 /// parallel; the kernel itself is single-threaded.
 std::vector<MvaResult> solve_lane_block(std::vector<BatchLane>& lanes);
+
+/// One lane's marginal-walk step as solve_lane_block computes it:
+/// xs * p_prev / j, zero below DBL_MIN, under the walk's flush-to-zero
+/// mode.  `fma_divide` picks the AVX2/AVX-512 versions' division (a
+/// reciprocal and two FMAs) over the baseline's `/`; the two agree bit for
+/// bit, which is what keeps every ISA version equal to the scalar engine.
+double marginal_step(double xs, double p_prev, unsigned j, bool fma_divide);
 
 }  // namespace mtperf::core::detail

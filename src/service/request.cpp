@@ -597,7 +597,7 @@ const RequestMemo::Entry* RequestMemo::find(std::string_view line, Json& id) {
 }
 
 void RequestMemo::remember(Entry entry) {
-  if (!keyed_ || capacity_ == 0 || key_.size() > kMaxBytes) return;
+  if (!keyed_ || key_.size() > kMaxBytes) return;
   keyed_ = false;
   if (const auto it = index_.find(key_); it != index_.end()) {
     it->second->entry = std::move(entry);
@@ -607,7 +607,7 @@ void RequestMemo::remember(Entry entry) {
   lru_.push_front(Node{key_, std::move(entry)});
   index_.emplace(lru_.front().key, lru_.begin());
   bytes_ += key_.size();
-  while (lru_.size() > capacity_ || bytes_ > kMaxBytes) evict_oldest();
+  while (bytes_ > kMaxBytes) evict_oldest();
 }
 
 void RequestMemo::evict_oldest() {

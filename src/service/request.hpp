@@ -148,8 +148,10 @@ bool scan_request_id(std::string_view line, IdSpan& span);
 /// series flag and label.  The parse is a pure function of those bytes,
 /// so a memoized line parses to the same request every time.
 ///
-/// Bounded: at most `capacity` lines and kMaxBytes of keys, least
-/// recently used first out.  Not thread-safe: each reader owns one.
+/// Bounded by kMaxBytes of keys, least recently used first out — a byte
+/// bound, not a line count, so a connection's whole hot set of lines
+/// stays memoized however many distinct lines it has.  Not thread-safe:
+/// each reader owns one.
 class RequestMemo {
  public:
   struct Entry {
@@ -161,7 +163,7 @@ class RequestMemo {
 
   static constexpr std::size_t kMaxBytes = std::size_t{1} << 20;
 
-  explicit RequestMemo(std::size_t capacity) : capacity_(capacity) {}
+  RequestMemo() = default;
 
   // The index views keys inside the list's nodes; a copy would view the
   // original's.
@@ -189,7 +191,6 @@ class RequestMemo {
 
   void evict_oldest();
 
-  std::size_t capacity_;
   std::size_t bytes_ = 0;
   std::list<Node> lru_;  ///< front = most recently used
   std::unordered_map<std::string_view, std::list<Node>::iterator> index_;

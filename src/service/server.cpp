@@ -177,7 +177,7 @@ void Server::respond(Connection& conn, std::string_view data,
 
 void Server::reader_loop(std::shared_ptr<Connection> conn, Reader* self) {
   LineReader reader(conn->sock, kMaxRequestLineBytes);
-  RequestMemo memo(options_.engine.cache_capacity);
+  RequestMemo memo;
   std::string line;
   std::string out;  // reused response buffer; respond() copies nothing
   Json id;

@@ -5,12 +5,21 @@
 // engine's batch dedup + cached-grid deepening.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <future>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <xmmintrin.h>
+#endif
+
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "core/demand_model.hpp"
 #include "core/detail/batch_engine.hpp"
 #include "core/detail/multiclass_batch_engine.hpp"
@@ -285,6 +294,220 @@ TEST(BatchParity, GroupsLargerThanOneBlock) {
     expect_parity(batched[i], scalar);
   }
 }
+
+// ------------------------------------------------------- kernel arithmetic
+
+/// Every exported array of `got` has the bits of `want` — no tolerance.
+void expect_bitwise(const MvaResult& got, const MvaResult& want) {
+  const auto same = [](const auto& a, const auto& b, const char* what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof a[i]), 0)
+          << what << "[" << i << "]: " << a[i] << " vs " << b[i];
+    }
+  };
+  same(got.population, want.population, "population");
+  same(got.throughput, want.throughput, "throughput");
+  same(got.response_time, want.response_time, "response_time");
+  same(got.cycle_time, want.cycle_time, "cycle_time");
+  same(got.station_queue, want.station_queue, "station_queue");
+  same(got.station_residence, want.station_residence, "station_residence");
+  same(got.station_utilization, want.station_utilization,
+       "station_utilization");
+}
+
+/// The served fleet's shape (perfbench's cold_sweep): twelve VINS-like
+/// stations, three of them 128-server CPU tiers, think time 2 s.
+ClosedNetwork fleet_network() {
+  return core::make_network(
+      {"load-cpu", "load-disk", "load-tx", "load-rx", "app-cpu", "app-disk",
+       "app-tx", "app-rx", "db-cpu", "db-disk", "db-tx", "db-rx"},
+      {128, 1, 1, 1, 128, 1, 1, 1, 128, 1, 1, 1}, 2.0);
+}
+
+/// Falling concurrency-axis demand splines for lane `lane`, jittered per
+/// station; `cpu_scale` multiplies the three CPU tiers' demands.
+DemandModel fleet_demands(std::size_t lane, double cpu_scale) {
+  const std::vector<double> knots = {1, 100, 300, 600, 1000, 1500};
+  std::vector<std::shared_ptr<const interp::Interpolator1D>> fns;
+  for (std::size_t k = 0; k < 12; ++k) {
+    const double jitter =
+        std::fmod(0.618 * static_cast<double>(lane * 12 + k), 1.0);
+    const double scale = vins_base_demands()[k] * (1.0 + 0.25 * jitter) *
+                         (k % 4 == 0 ? cpu_scale : 1.0);
+    std::vector<double> y;
+    for (const double x : knots) {
+      y.push_back(scale * (0.8 + 0.2 * std::exp(-x / 400.0)));
+    }
+    fns.push_back(spline_of(knots, std::move(y)));
+  }
+  return DemandModel::interpolated(std::move(fns));
+}
+
+/// One lockstep block of `lanes` fleet lanes at `users`, each lane
+/// compared with its scalar solve array by array, bit for bit.
+void expect_fleet_block_bitwise(std::size_t lanes, unsigned users,
+                                double cpu_scale) {
+  const ClosedNetwork network = fleet_network();
+  std::vector<DemandModel> demands;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    demands.push_back(fleet_demands(l, cpu_scale));
+  }
+  std::vector<core::detail::BatchLane> block(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    block[l].network = &network;
+    block[l].demands = &demands[l];
+    block[l].max_population = users;
+  }
+  const std::vector<MvaResult> batched =
+      core::detail::solve_lane_block(block);
+  ASSERT_EQ(batched.size(), lanes);
+  core::SolveOptions options;
+  options.solver = SolverKind::kMvasd;
+  options.max_population = users;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l) + " of " +
+                 std::to_string(lanes));
+    expect_bitwise(batched[l], core::solve(network, &demands[l], options));
+  }
+}
+
+TEST(BatchParity, FleetTiersAreBitIdenticalToScalar) {
+  // Three 128-server tiers at N = 1500: every level's marginal tails run
+  // down past DBL_MIN, so the flush, the FMA division and flush-to-zero
+  // all act on every level.  Blocks of one chunk, one group, and a group
+  // plus a chunk.
+  for (const std::size_t lanes : {8u, 16u, 24u}) {
+    expect_fleet_block_bitwise(lanes, 1500, 1.0);
+  }
+}
+
+TEST(BatchParity, SaturatedFleetTiersAreBitIdenticalToScalar) {
+  // CPU tiers 300x heavier: the 128-server stations saturate, so the
+  // clamps rescale the tail (weighted tail above the idle budget) and
+  // zero the marginals (expected busy servers >= C) on many levels.
+  for (const std::size_t lanes : {8u, 16u, 24u}) {
+    expect_fleet_block_bitwise(lanes, 1500, 300.0);
+  }
+}
+
+TEST(BatchKernel, FmaQuotientEqualsDivisionBitwise) {
+  // The AVX2/AVX-512 walk divides with a reciprocal and two FMAs, the
+  // baseline with `/`; both must give the scalar engine's xs * p / j, or
+  // zero where that falls below DBL_MIN.  A quotient of exactly DBL_MIN
+  // may read zero under flush-to-zero (see batch_engine.cpp); nothing else
+  // may differ.
+  std::mt19937_64 rng(20151);
+  std::uniform_real_distribution<double> mantissa(1.0, 2.0);
+  std::uniform_int_distribution<int> exponent(-1022, 900);
+  std::uniform_real_distribution<double> busy(0.0, 128.0);
+  std::uniform_real_distribution<double> prob(0.0, 1.0);
+  std::size_t cases = 0, normal = 0, flushed = 0, boundary = 0;
+  std::size_t mismatches = 0;
+  const auto check = [&](double xs, double p, unsigned j) {
+    ++cases;
+    const double want = xs * p / static_cast<double>(j);
+    for (const bool fma : {true, false}) {
+      const double got = core::detail::marginal_step(xs, p, j, fma);
+      bool ok;
+      if (want > DBL_MIN) {
+        ok = std::memcmp(&got, &want, sizeof got) == 0;
+      } else if (want < DBL_MIN) {
+        const double zero = 0.0;
+        ok = std::memcmp(&got, &zero, sizeof got) == 0;
+      } else {
+        ok = got == 0.0 || got == DBL_MIN;
+      }
+      if (!ok && ++mismatches <= 5) {
+        ADD_FAILURE() << std::hexfloat << "xs " << xs << " p " << p << " j "
+                      << j << (fma ? " fma " : " div ") << got << " want "
+                      << want;
+      }
+    }
+    (want > DBL_MIN ? normal : want < DBL_MIN ? flushed : boundary) += 1;
+  };
+  for (unsigned j = 1; j <= 1024; ++j) {
+    const double dj = static_cast<double>(j);
+    for (int i = 0; i < 400; ++i) {
+      // Any normal dividend (xs = 1 passes p through unrounded).
+      check(1.0, std::ldexp(mantissa(rng), exponent(rng)), j);
+    }
+    for (int i = 0; i < 100; ++i) {
+      // The kernel's own range: busy servers times a probability.
+      check(busy(rng), prob(rng), j);
+    }
+    // Dividends within a few ulps of j * DBL_MIN, where the quotient
+    // crosses DBL_MIN, and below it, where the quotient is subnormal.
+    double a = dj * DBL_MIN;
+    for (int i = 0; i < 8; ++i) a = std::nextafter(a, 0.0);
+    for (int i = 0; i < 16; ++i) {
+      check(1.0, a, j);
+      a = std::nextafter(a, 1.0);
+    }
+    for (int i = 0; i < 20; ++i) {
+      check(1.0, std::ldexp(mantissa(rng), -1022), j);
+      check(prob(rng), std::ldexp(mantissa(rng), -1000 - i), j);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(cases, normal + flushed + boundary);
+  EXPECT_GT(normal, 500000u);
+  EXPECT_GT(flushed, 20000u);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+TEST(BatchKernel, LeavesMxcsrAsItFoundIt) {
+  // MXCSR's control bits (DAZ, exception masks, rounding, FTZ); the low six
+  // are sticky exception flags that any arithmetic may raise.
+  constexpr unsigned kControl = ~0x3Fu;
+  const ClosedNetwork network = fleet_network();
+  std::vector<DemandModel> demands;
+  for (std::size_t l = 0; l < 3; ++l) demands.push_back(fleet_demands(l, 1.0));
+  const auto run_block = [&] {
+    std::vector<core::detail::BatchLane> block(demands.size());
+    for (std::size_t l = 0; l < block.size(); ++l) {
+      block[l].network = &network;
+      block[l].demands = &demands[l];
+      block[l].max_population = 300;
+    }
+    return core::detail::solve_lane_block(block);
+  };
+
+  const unsigned before = _mm_getcsr() & kControl;
+  EXPECT_EQ(before & _MM_FLUSH_ZERO_ON, 0u);
+  (void)run_block();
+  EXPECT_EQ(_mm_getcsr() & kControl, before);
+
+  // A lane that throws: zero think time and zero demands make the first
+  // level's cycle time zero.
+  const ClosedNetwork zero = core::make_network({"cpu", "disk"}, {4, 1}, 0.0);
+  const DemandModel none = DemandModel::constant({0.0, 0.0});
+  std::vector<core::detail::BatchLane> bad(1);
+  bad[0].network = &zero;
+  bad[0].demands = &none;
+  bad[0].max_population = 10;
+  EXPECT_THROW(core::detail::solve_lane_block(bad), std::exception);
+  EXPECT_EQ(_mm_getcsr() & kControl, before);
+
+  // A scalar solve next on the same pool thread must return what it
+  // returns on a fresh thread.  Its subnormal demand makes utilization
+  // and residence subnormal, which a leaked flush-to-zero would zero.
+  const ClosedNetwork tiny =
+      core::make_network({"cpu", "tiny"}, {4, 1}, 1.0);
+  const DemandModel tiny_demands = DemandModel::constant({0.02, 1e-310});
+  core::SolveOptions options;
+  options.solver = SolverKind::kMvasd;
+  options.max_population = 10;
+  const auto scalar = [&] { return core::solve(tiny, &tiny_demands, options); };
+  ThreadPool pool(1);
+  pool.submit(run_block).get();
+  const MvaResult on_pool = pool.submit(scalar).get();
+  const MvaResult fresh = std::async(std::launch::async, scalar).get();
+  ASSERT_GT(fresh.utilization(0, 1), 0.0);
+  ASSERT_LT(fresh.utilization(0, 1), DBL_MIN);
+  expect_bitwise(on_pool, fresh);
+}
+#endif
 
 TEST(RunScenarios, DefaultEvaluatorUsesBatchedKernel) {
   std::vector<ScenarioSpec> specs;

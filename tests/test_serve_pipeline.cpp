@@ -1006,7 +1006,7 @@ TEST(IdScanner, FindsTheTopLevelIdMember) {
 }
 
 TEST(RequestMemo, FindsLinesThatDifferOnlyInTheirId) {
-  service::RequestMemo memo(4);
+  service::RequestMemo memo;
   Json id;
   const std::string line = spec_request(1, 1.0, 50);
   EXPECT_EQ(memo.find(line, id), nullptr);
@@ -1041,19 +1041,29 @@ TEST(RequestMemo, FindsLinesThatDifferOnlyInTheirId) {
 }
 
 TEST(RequestMemo, IsBoundedLeastRecentlyUsedFirst) {
-  service::RequestMemo memo(2);
+  // Lines of two fifths of the key budget: two fit, a third evicts the
+  // least recently used.
+  const auto padded = [](unsigned depth) {
+    std::string line = spec_request(1, 1.0, depth);
+    line.insert(1, "\"pad\":\"" +
+                       std::string(service::RequestMemo::kMaxBytes * 2 / 5,
+                                   'x') +
+                       "\",");
+    return line;
+  };
+  service::RequestMemo memo;
   Json id;
   for (const unsigned depth : {10u, 20u, 30u}) {
-    memo.find(spec_request(1, 1.0, depth), id);
+    memo.find(padded(depth), id);
     memo.remember({service::Fingerprint{depth, 0}, depth, false, ""});
   }
   EXPECT_EQ(memo.size(), 2u);
-  EXPECT_EQ(memo.find(spec_request(1, 1.0, 10), id), nullptr);
-  ASSERT_NE(memo.find(spec_request(1, 1.0, 20), id), nullptr);  // bumped
-  memo.find(spec_request(1, 1.0, 40), id);
+  EXPECT_EQ(memo.find(padded(10), id), nullptr);
+  ASSERT_NE(memo.find(padded(20), id), nullptr);  // bumped
+  memo.find(padded(40), id);
   memo.remember({service::Fingerprint{40, 0}, 40, false, ""});
-  EXPECT_NE(memo.find(spec_request(1, 1.0, 20), id), nullptr);
-  EXPECT_EQ(memo.find(spec_request(1, 1.0, 30), id), nullptr);
+  EXPECT_NE(memo.find(padded(20), id), nullptr);
+  EXPECT_EQ(memo.find(padded(30), id), nullptr);
 
   // A line longer than the byte budget is never kept; nor is one the
   // scanner refused.
@@ -1067,6 +1077,16 @@ TEST(RequestMemo, IsBoundedLeastRecentlyUsedFirst) {
   memo.find("[1]", id);
   memo.remember({});
   EXPECT_EQ(memo.size(), 2u);
+
+  // Short lines are bounded by bytes alone: a connection's thousand
+  // distinct lines all stay, well past any cache capacity.
+  service::RequestMemo lines;
+  for (unsigned depth = 1; depth <= 1000; ++depth) {
+    lines.find(spec_request(1, 1.0, depth), id);
+    lines.remember({service::Fingerprint{depth, 0}, depth, false, ""});
+  }
+  EXPECT_EQ(lines.size(), 1000u);
+  EXPECT_NE(lines.find(spec_request(9, 1.0, 1), id), nullptr);
 }
 
 /// A random edit of a request line: replace, drop, duplicate, move or
@@ -1164,7 +1184,7 @@ TEST(RequestMemo, MemoAnswersEqualTheFullParseOnMutatedLines) {
   ASSERT_GT(examples, 0u);
 
   service::Engine engine;
-  service::RequestMemo memo(1024);
+  service::RequestMemo memo;
   // The server's two paths for one line.  Full: parse, fingerprint, probe.
   // Memo: find, probe.  A line the memo answers must get the full path's
   // bytes; the full path memoizes every scenario line it parses.
