@@ -66,10 +66,10 @@ std::vector<core::ScenarioSpec> make_fleet(unsigned max_users) {
         d[1] *= disk_scale;  // load/disk
         d[8] *= cpu_scale;   // db/cpu
         core::ScenarioSpec spec;
-        spec.label = "v" + std::to_string(variant) + "/z" +
-                     std::to_string(think_step) + "/c" +
-                     std::to_string(cores_of[tier]) + "#" +
-                     std::to_string(tier);
+        char label[48];
+        std::snprintf(label, sizeof label, "v%d/z%d/c%u#%d", variant,
+                      think_step, cores_of[tier], tier);
+        spec.label = label;
         spec.network = vins_shape_network(cores_of[tier], think);
         spec.demands = core::DemandModel::constant(std::move(d));
         spec.options.solver = core::SolverKind::kExactMultiserver;

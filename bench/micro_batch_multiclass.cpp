@@ -54,24 +54,28 @@ std::vector<core::ScenarioSpec> make_fleet(unsigned max_axis_users) {
       const double think_scale = 1.0 + 0.25 * think_step;
       for (int tier = 0; tier < 4; ++tier) {
         core::ScenarioSpec spec;
-        spec.label = "v" + std::to_string(variant) + "/z" +
-                     std::to_string(think_step) + "/n" +
-                     std::to_string(depth_of[tier]);
+        char label[48];
+        std::snprintf(label, sizeof label, "v%d/z%d/n%u", variant,
+                      think_step, depth_of[tier]);
+        spec.label = label;
         spec.network = mix_network();
         spec.options.solver = core::SolverKind::kSchweitzerMulticlass;
         spec.options.classes = {
             {"browse",
              8,
              1.0 * think_scale,
-             {0.010 * cpu_scale, 0.024 * disk_scale, 0.006, 0.150}},
+             {0.010 * cpu_scale, 0.024 * disk_scale, 0.006, 0.150},
+             nullptr},
             {"search",
              6,
              2.0 * think_scale,
-             {0.016 * cpu_scale, 0.009 * disk_scale, 0.004, 0.080}},
+             {0.016 * cpu_scale, 0.009 * disk_scale, 0.004, 0.080},
+             nullptr},
             {"buy",
              depth_of[tier],
              0.5 * think_scale,
-             {0.007 * cpu_scale, 0.031 * disk_scale, 0.005, 0.400}},
+             {0.007 * cpu_scale, 0.031 * disk_scale, 0.005, 0.400},
+             nullptr},
         };
         core::finalize_multiclass_options(spec.options);
         fleet.push_back(std::move(spec));

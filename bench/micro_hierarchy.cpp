@@ -59,10 +59,19 @@ constexpr double kPoolDemand[kPoolsPerTier] = {0.008, 0.006, 0.005, 0.004,
 /// The 12-tier mesh: tier i's gateway fans out to its local pools and
 /// forwards to tier i+1's gateway.  `edit_tier` scales that tier's pool
 /// demands by `scale` (the what-if knob).
+/// "t<t>/", built by appending: GCC 12's -Wrestrict misfires on the
+/// inlined insert-at-front of `"t" + std::to_string(t)`.
+std::string tier_prefix(unsigned t) {
+  std::string prefix = "t";
+  prefix += std::to_string(t);
+  prefix += '/';
+  return prefix;
+}
+
 graph::ServiceGraph make_mesh(unsigned edit_tier, double scale) {
   std::vector<graph::Service> services;
   for (unsigned t = 0; t < kTiers; ++t) {
-    const std::string prefix = "t" + std::to_string(t) + "/";
+    const std::string prefix = tier_prefix(t);
     const std::string label = "tier" + std::to_string(t);
     const double s = t == edit_tier ? scale : 1.0;
 
@@ -74,7 +83,7 @@ graph::ServiceGraph make_mesh(unsigned edit_tier, double scale) {
       gw.calls.push_back({prefix + "p" + std::to_string(p), 1.0, 1.0});
     }
     if (t + 1 < kTiers) {
-      gw.calls.push_back({"t" + std::to_string(t + 1) + "/gw", 1.0, 1.0});
+      gw.calls.push_back({tier_prefix(t + 1) + "gw", 1.0, 1.0});
     }
     services.push_back(std::move(gw));
 

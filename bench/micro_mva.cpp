@@ -35,10 +35,18 @@ namespace {
 
 using namespace mtperf;
 
+/// "s<k>", built by appending: GCC 12's -Wrestrict misfires on the
+/// inlined insert-at-front of `"s" + std::to_string(k)`.
+std::string station_name(std::size_t k) {
+  std::string name = "s";
+  name += std::to_string(k);
+  return name;
+}
+
 core::ClosedNetwork make_net(std::size_t stations, unsigned servers) {
   std::vector<core::Station> st;
   for (std::size_t k = 0; k < stations; ++k) {
-    st.push_back(core::Station{"s" + std::to_string(k), 1.0,
+    st.push_back(core::Station{station_name(k), 1.0,
                                k % 3 == 0 ? servers : 1,
                                core::StationKind::kQueueing});
   }
@@ -282,7 +290,7 @@ void BM_ResultAssemblyAoS(benchmark::State& state) {
   for (auto _ : state) {
     SeedStyleResult r;
     for (std::size_t k = 0; k < k_count; ++k) {
-      r.station_names.push_back("s" + std::to_string(k));
+      r.station_names.push_back(station_name(k));
     }
     for (std::size_t i = 0; i < levels; ++i) {
       r.population.push_back(static_cast<unsigned>(i + 1));
@@ -303,7 +311,7 @@ void BM_ResultAssemblySoA(benchmark::State& state) {
   const std::vector<double> row(k_count, 0.25);
   std::vector<std::string> names;
   for (std::size_t k = 0; k < k_count; ++k) {
-    names.push_back("s" + std::to_string(k));
+    names.push_back(station_name(k));
   }
   for (auto _ : state) {
     core::MvaResult r;

@@ -131,8 +131,9 @@ DemandGrid::DemandGrid(const DemandModel& model, unsigned max_population,
   if (shallower != nullptr && shallower->tabulated_ &&
       !shallower->model_->is_constant()) {
     // Deepening: already-tabulated rows are bit-identical to what a fresh
-    // fill would produce (same model content, same cursor walk), so a copy
-    // replaces min(N', N) rows of spline evaluation.
+    // fill would produce (same model content, and an entry depends only on
+    // its n and station), so a copy replaces min(N', N) rows of spline
+    // evaluation.
     MTPERF_REQUIRE(shallower->stations_ == stations_,
                    "demand grid deepening requires matching station counts");
     const unsigned reuse = std::min(shallower->max_population_, max_population);
@@ -141,17 +142,20 @@ DemandGrid::DemandGrid(const DemandModel& model, unsigned max_population,
     first = reuse + 1;
     out += reused;
   }
-  // Row-major fill, one monotone cursor per station: n = 1..N is
-  // non-decreasing so segment lookup never searches — O(N K + segments)
-  // total — and each cache line of the buffer is written exactly once
-  // (a column-order fill would touch every line stations() times).
-  std::vector<std::size_t> cursor(stations_, 0);
-  for (unsigned n = first; n <= max_population; ++n, out += stations_) {
-    for (std::size_t k = 0; k < stations_; ++k) {
-      out[k] = cubics_[k] != nullptr
-                   ? std::max(0.0, cubics_[k]->value_with_cursor(
-                                       static_cast<double>(n), cursor[k]))
-                   : model.at(k, static_cast<double>(n));
+  // Column by column: each cubic station's column is filled a segment at
+  // a time with that segment's coefficients held, so the loop over rows is
+  // straight-line polynomial evaluation with no per-entry segment lookup
+  // or call.  Column order writes each cache line once per station, but
+  // the buffer is small (144 KB for twelve stations at N = 1500) and stays
+  // in L2 between columns.
+  for (std::size_t k = 0; k < stations_; ++k) {
+    if (cubics_[k] != nullptr) {
+      cubics_[k]->tabulate_clamped(first, max_population, out + k, stations_);
+      continue;
+    }
+    double* cell = out + k;
+    for (unsigned n = first; n <= max_population; ++n, cell += stations_) {
+      *cell = model.at(k, static_cast<double>(n));
     }
   }
 }

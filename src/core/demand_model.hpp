@@ -98,7 +98,7 @@ DemandModel scale_demand_model(const DemandModel& model, double factor);
 ///
 /// Concurrency-axis (and constant) models are tabulated once into a flat
 /// row-major max_population × stations buffer — each station's column is
-/// filled with a monotone segment cursor walking the spline left to right,
+/// filled one spline segment at a time (PiecewiseCubic::tabulate_clamped),
 /// so tabulation itself is O(N + segments) per station.  Throughput-axis
 /// models cannot be tabulated ahead of the recursion (the axis value is the
 /// previous iteration's throughput); they evaluate on demand through

@@ -549,7 +549,9 @@ std::string batch_structure_key(const ClosedNetwork& network,
   return key;
 }
 
-BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs) {
+BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs,
+                     std::size_t threads) {
+  MTPERF_REQUIRE(threads >= 1, "a batch plan needs at least one thread");
   BatchPlan plan;
   // Grouping preserves first-seen order for determinism.  Single-class and
   // multiclass groups share one key space: the multiclass key embeds the
@@ -598,9 +600,35 @@ BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs) {
                                 SolverKind::kSchweitzerMulticlass
             ? kMcSchweitzerLaneBlock
             : kBatchLaneBlock;
-    for (std::size_t at = 0; at < group.size(); at += width) {
-      const std::size_t end = std::min(group.size(), at + width);
-      out.emplace_back(group.begin() + at, group.begin() + end);
+    const std::size_t size = group.size();
+    const std::size_t whole_blocks = (size + width - 1) / width;
+    if (group_mc[g] != 0 || size <= width || whole_blocks >= threads) {
+      for (std::size_t at = 0; at < size; at += width) {
+        const std::size_t end = std::min(size, at + width);
+        out.emplace_back(group.begin() + at, group.begin() + end);
+      }
+      continue;
+    }
+    // A single-class group that would leave threads idle: cut it into one
+    // block per thread (or per chunk, when there are fewer chunks) of
+    // whole kLaneChunk chunks.  The first `extra` blocks take one chunk
+    // more, and the group's partial chunk goes to the last of those
+    // largest blocks, so block sizes never increase down the list and
+    // parallel_for's in-order handout starts the longest block first.
+    // The chunks are the ones the one-block-per-16 cut pads to, so the
+    // kernel solves no more padded lanes than it would have.
+    const std::size_t chunks = (size + kLaneChunk - 1) / kLaneChunk;
+    const std::size_t parts = std::min(threads, chunks);
+    const std::size_t base = chunks / parts;
+    const std::size_t extra = chunks % parts;
+    const std::size_t partial_block = extra > 0 ? extra - 1 : parts - 1;
+    const std::size_t pad = chunks * kLaneChunk - size;
+    std::size_t at = 0;
+    for (std::size_t b = 0; b < parts; ++b) {
+      std::size_t lanes = (base + (b < extra ? 1 : 0)) * kLaneChunk;
+      if (b == partial_block) lanes -= pad;
+      out.emplace_back(group.begin() + at, group.begin() + at + lanes);
+      at += lanes;
     }
   }
   return plan;

@@ -69,7 +69,8 @@ std::string batch_structure_key(const ClosedNetwork& network, SolverKind kind);
 struct BatchPlan {
   /// Each block: indices into the input list, structure-compatible, at most
   /// kBatchLaneBlock lanes, ordered by descending max_population (so lane
-  /// retirement shrinks a prefix).
+  /// retirement shrinks a prefix).  A group's blocks are contiguous slices
+  /// of its depth order, largest block first.
   std::vector<std::vector<std::size_t>> blocks;
   /// Multiclass lockstep blocks: same shape as `blocks`, but grouped by the
   /// class-aware key (multiclass_batch_key) and ordered by descending axis
@@ -81,8 +82,15 @@ struct BatchPlan {
 
 /// Group batchable specs by structure key (class-aware for the multiclass
 /// series kinds), order each group by descending population, and chunk it
-/// into kBatchLaneBlock-sized blocks.
-BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs);
+/// into kBatchLaneBlock-sized blocks.  `threads` is how many threads will
+/// run the plan's tasks (pool workers plus the calling thread, or 1 when
+/// the caller runs them inline).  A single-class group larger than one
+/// block that would still make fewer blocks than `threads` is instead cut
+/// into min(threads, chunks) blocks of whole 8-lane padding chunks, so a
+/// flush keeps every thread busy without padding more lanes; multiclass
+/// groups are chunked as above regardless.
+BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs,
+                     std::size_t threads);
 
 /// Solve one structure-compatible lane group in lockstep and return one
 /// MvaResult per lane, in input order.  All lanes must share the structure

@@ -165,7 +165,8 @@ std::vector<MvaResult> solve_batch(const std::vector<ScenarioSpec>& specs,
   std::vector<const ScenarioSpec*> ptrs;
   ptrs.reserve(specs.size());
   for (const ScenarioSpec& spec : specs) ptrs.push_back(&spec);
-  const detail::BatchPlan plan = detail::plan_batch(ptrs);
+  const std::size_t threads = pool != nullptr ? pool->size() + 1 : 1;
+  const detail::BatchPlan plan = detail::plan_batch(ptrs, threads);
 
   // One task per lockstep block plus one per scalar fallback; each task
   // writes disjoint output slots, so no synchronization is needed.
@@ -212,7 +213,7 @@ std::vector<MvaResult> solve_batch(const std::vector<ScenarioSpec>& specs,
           plan.scalars[t - plan.blocks.size() - plan.mc_blocks.size()]);
     }
   };
-  if (pool != nullptr && tasks > 1) {
+  if (threads > 1 && tasks > 1) {
     parallel_for(*pool, tasks, run_task);
   } else {
     for (std::size_t t = 0; t < tasks; ++t) run_task(t);

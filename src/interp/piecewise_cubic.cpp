@@ -1,6 +1,8 @@
 #include "interp/piecewise_cubic.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 namespace mtperf::interp {
@@ -109,6 +111,38 @@ double PiecewiseCubic::value_with_cursor(double x, std::size_t& cursor) const {
   }
   cursor = seg;
   return eval(seg, x - knots_[seg], 0);
+}
+
+void PiecewiseCubic::tabulate_clamped(unsigned first, unsigned last,
+                                      double* out, std::size_t stride) const {
+  const double lo = knots_.front();
+  const double hi = knots_.back();
+  const std::size_t max_seg = knots_.size() == 1 ? 0 : knots_.size() - 2;
+  std::size_t seg = 0;
+  // 64-bit so that last == UINT_MAX still ends the loop.
+  std::uint64_t n = first;
+  while (n <= last) {
+    const double x = static_cast<double>(n);
+    if (x < lo || x > hi) {
+      *out = std::max(0.0, value(x));
+      out += stride;
+      ++n;
+      continue;
+    }
+    // The segment value() picks for x: the last one starting at or below
+    // it.  Its integers run up to the next knot (exclusive), or to hi.
+    while (seg < max_seg && x >= knots_[seg + 1]) ++seg;
+    const double top = std::min(
+        seg < max_seg ? std::ceil(knots_[seg + 1]) - 1.0 : std::floor(hi),
+        static_cast<double>(last));
+    const auto end = static_cast<std::uint64_t>(top);
+    const double x0 = knots_[seg];
+    const double a = a_[seg], b = b_[seg], c = c_[seg], d = d_[seg];
+    for (; n <= end; ++n, out += stride) {
+      const double t = static_cast<double>(n) - x0;
+      *out = std::max(0.0, a + t * (b + t * (c + t * d)));
+    }
+  }
 }
 
 double PiecewiseCubic::value(double x) const {

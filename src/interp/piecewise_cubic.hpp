@@ -40,6 +40,15 @@ class PiecewiseCubic final : public Interpolator1D {
   /// search.  Results are bit-identical to value().
   double value_with_cursor(double x, std::size_t& cursor) const;
 
+  /// Write max(0, value(n)) for the integers n = first..last to out[0],
+  /// out[stride], ..., out[(last - first) * stride]: the clamped column a
+  /// demand table tabulates.  In-range integers are filled one segment at
+  /// a time with the segment's coefficients held, out-of-range ones go
+  /// through value() (so kThrow throws as it does there).  Every entry is
+  /// bit-identical to std::max(0.0, value(n)).
+  void tabulate_clamped(unsigned first, unsigned last, double* out,
+                        std::size_t stride) const;
+
   /// Second derivative at knot i — used by tests to verify C² continuity.
   double second_derivative_at_knot(std::size_t i) const;
 

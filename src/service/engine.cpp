@@ -25,6 +25,13 @@ static_assert(kEngineBatchLanes == core::detail::kBatchLaneBlock,
 
 namespace {
 
+std::uint64_t nanoseconds_since(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 struct CacheEntry {
   Fingerprint key;
   std::shared_ptr<const core::MvaResult> result;
@@ -628,7 +635,10 @@ std::vector<Evaluation> Engine::evaluate_batch(
   for (const std::size_t r : miss_reps) {
     miss_specs.push_back(&specs[reps[r].spec_index]);
   }
-  const core::detail::BatchPlan plan = core::detail::plan_batch(miss_specs);
+  // A pool of one runs inline (see below), so it plans for one thread.
+  const std::size_t threads = pool_->size() > 1 ? pool_->size() + 1 : 1;
+  const core::detail::BatchPlan plan =
+      core::detail::plan_batch(miss_specs, threads);
 
   const auto run_block = [&](const std::vector<std::size_t>& block) {
     std::vector<core::detail::BatchLane> lanes(block.size());
@@ -717,7 +727,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
                             ms_per_lane};
     }
   };
-  const auto run_task = [&](std::size_t t) {
+  const auto solve_task = [&](std::size_t t) {
     if (t < plan.blocks.size()) {
       run_block(plan.blocks[t]);
     } else if (t < plan.blocks.size() + plan.mc_blocks.size()) {
@@ -735,6 +745,14 @@ std::vector<Evaluation> Engine::evaluate_batch(
       rep.eval =
           solve_miss(spec, rep.fp, std::move(rep.lease), &rep.series);
     }
+  };
+  // Flush balance: the threads' summed task time against the section's
+  // wall time times its threads; the gap is solver time spent idle.
+  std::atomic<std::uint64_t> busy_ns{0};
+  const auto run_task = [&](std::size_t t) {
+    const auto start = std::chrono::steady_clock::now();
+    solve_task(t);
+    busy_ns.fetch_add(nanoseconds_since(start), std::memory_order_relaxed);
   };
   // Solve, then settle every registered flight exactly once: leaders whose
   // rep solved publish the result; on failure the remaining waiters get
@@ -760,8 +778,9 @@ std::vector<Evaluation> Engine::evaluate_batch(
   };
   const std::size_t tasks =
       plan.blocks.size() + plan.mc_blocks.size() + plan.scalars.size();
+  const auto section_start = std::chrono::steady_clock::now();
   try {
-    if (tasks > 1 && pool_->size() > 1) {
+    if (tasks > 1 && threads > 1) {
       parallel_for(*pool_, tasks, run_task);
     } else {
       for (std::size_t t = 0; t < tasks; ++t) run_task(t);
@@ -769,6 +788,13 @@ std::vector<Evaluation> Engine::evaluate_batch(
   } catch (...) {
     settle_flights(std::current_exception());
     throw;
+  }
+  if (tasks > 0) {
+    batch_busy_ns_.fetch_add(busy_ns.load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+    batch_capacity_ns_.fetch_add(
+        nanoseconds_since(section_start) * (tasks > 1 ? threads : 1),
+        std::memory_order_relaxed);
   }
   settle_flights(nullptr);
 
@@ -832,6 +858,12 @@ EngineMetrics Engine::metrics() const {
   m.fes_profile_misses = fes_profile_misses_.load(std::memory_order_relaxed);
   m.series_renders = series_stats_->renders.load(std::memory_order_relaxed);
   m.series_bytes = series_stats_->bytes.load(std::memory_order_relaxed);
+  m.batch_busy_ms =
+      static_cast<double>(batch_busy_ns_.load(std::memory_order_relaxed)) /
+      1e6;
+  m.batch_capacity_ms =
+      static_cast<double>(batch_capacity_ns_.load(std::memory_order_relaxed)) /
+      1e6;
   for (std::size_t l = 0; l < m.batch_occupancy.size(); ++l) {
     m.batch_occupancy[l] = occupancy_hist_[l].load(std::memory_order_relaxed);
   }

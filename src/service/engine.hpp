@@ -206,6 +206,12 @@ struct EngineMetrics {
   /// (freed with their entry, or with the last answer still using them).
   std::uint64_t series_renders = 0;
   std::uint64_t series_bytes = 0;
+  /// Flush balance of evaluate_batch's solve sections: busy is the summed
+  /// time of their tasks (lane blocks and scalar fallbacks), capacity is
+  /// each section's wall time times the threads it ran on.  capacity -
+  /// busy is solver time spent idle inside flushes.
+  double batch_busy_ms = 0.0;
+  double batch_capacity_ms = 0.0;
   double batch_occupancy_mean = 0.0;  ///< lanes per block (0 when none)
   std::array<std::uint64_t, kEngineBatchLanes + 1> batch_occupancy{};
 };
@@ -378,6 +384,8 @@ class Engine final : public core::ScenarioEvaluator {
   std::atomic<std::uint64_t> batch_blocks_{0};
   std::atomic<std::uint64_t> batch_lanes_{0};
   std::atomic<std::uint64_t> batch_scalar_fallbacks_{0};
+  std::atomic<std::uint64_t> batch_busy_ns_{0};
+  std::atomic<std::uint64_t> batch_capacity_ns_{0};
   std::atomic<std::uint64_t> fes_profile_hits_{0};
   std::atomic<std::uint64_t> fes_profile_misses_{0};
   std::array<std::atomic<std::uint64_t>, kEngineBatchLanes + 1>

@@ -423,6 +423,8 @@ void append_metrics(std::string& out, const EngineMetrics& m,
   batch["scalar_fallbacks"] =
       static_cast<unsigned long long>(m.batch_scalar_fallbacks);
   batch["occupancy_mean"] = m.batch_occupancy_mean;
+  batch["busy_ms"] = m.batch_busy_ms;
+  batch["capacity_ms"] = m.batch_capacity_ms;
   Json::Array hist;
   for (std::size_t l = 1; l < m.batch_occupancy.size(); ++l) {
     hist.emplace_back(static_cast<unsigned long long>(m.batch_occupancy[l]));

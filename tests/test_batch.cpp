@@ -5,6 +5,7 @@
 // engine's batch dedup + cached-grid deepening.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstring>
@@ -165,7 +166,7 @@ TEST(BatchPlan, GroupsByStructureAndSplitsOffScalars) {
   }
   std::vector<const ScenarioSpec*> ptrs;
   for (const auto& s : specs) ptrs.push_back(&s);
-  const auto plan = core::detail::plan_batch(ptrs);
+  const auto plan = core::detail::plan_batch(ptrs, 1);
 
   ASSERT_EQ(plan.blocks.size(), 2u);
   ASSERT_EQ(plan.scalars.size(), 1u);
@@ -192,6 +193,128 @@ TEST(BatchPlan, StructureKeySeparatesServerCountsAndKinds) {
   EXPECT_NE(core::detail::batch_structure_key(base, SolverKind::kMvasd),
             core::detail::batch_structure_key(
                 base, SolverKind::kExactMultiserver));
+}
+
+/// A cheap single-class spec for planning: only structure, kind and depth
+/// matter to the plan.
+ScenarioSpec plan_spec(unsigned users) {
+  ScenarioSpec spec;
+  spec.label = "p" + std::to_string(users);
+  spec.network = core::make_network({"cpu", "disk"}, {4, 1}, 1.0);
+  spec.demands = DemandModel::constant({0.01, 0.02});
+  spec.options.solver = SolverKind::kMvasd;
+  spec.options.max_population = users;
+  return spec;
+}
+
+/// `lanes` planning specs with scrambled, partly tied depths.
+std::vector<ScenarioSpec> plan_group(std::size_t lanes) {
+  std::vector<ScenarioSpec> specs;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    specs.push_back(plan_spec(10 + static_cast<unsigned>((i * 37) % 23)));
+  }
+  return specs;
+}
+
+std::vector<const ScenarioSpec*> pointers(const std::vector<ScenarioSpec>& s) {
+  std::vector<const ScenarioSpec*> ptrs;
+  for (const auto& spec : s) ptrs.push_back(&spec);
+  return ptrs;
+}
+
+std::vector<std::size_t> block_sizes(
+    const std::vector<std::vector<std::size_t>>& blocks) {
+  std::vector<std::size_t> sizes;
+  for (const auto& block : blocks) sizes.push_back(block.size());
+  return sizes;
+}
+
+/// Lanes the kernel runs for `blocks`: each block pads to 8-lane chunks.
+std::size_t padded_lanes(const std::vector<std::vector<std::size_t>>& blocks) {
+  std::size_t total = 0;
+  for (const auto& block : blocks) total += (block.size() + 7) / 8 * 8;
+  return total;
+}
+
+TEST(BatchPlan, OneThreadKeepsWholeBlocksInDepthOrder) {
+  const auto specs = plan_group(26);
+  const auto plan = core::detail::plan_batch(pointers(specs), 1);
+  std::vector<std::size_t> order(specs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+    return specs[a].options.max_population > specs[b].options.max_population;
+  });
+  ASSERT_EQ(plan.blocks.size(), 2u);
+  EXPECT_EQ(plan.blocks[0],
+            std::vector<std::size_t>(order.begin(), order.begin() + 16));
+  EXPECT_EQ(plan.blocks[1],
+            std::vector<std::size_t>(order.begin() + 16, order.end()));
+  EXPECT_TRUE(plan.mc_blocks.empty());
+  EXPECT_TRUE(plan.scalars.empty());
+}
+
+TEST(BatchPlan, CutsAnOversizeGroupLargestFirst) {
+  const auto specs = plan_group(26);
+  const auto ptrs = pointers(specs);
+  const auto whole = core::detail::plan_batch(ptrs, 1);
+  const auto cut = core::detail::plan_batch(ptrs, 3);
+  EXPECT_EQ(block_sizes(cut.blocks), (std::vector<std::size_t>{10, 8, 8}));
+  EXPECT_EQ(padded_lanes(cut.blocks), padded_lanes(whole.blocks));
+  // The same depth order, cut at other places.
+  std::vector<std::size_t> flat;
+  for (const auto& block : cut.blocks) {
+    flat.insert(flat.end(), block.begin(), block.end());
+  }
+  std::vector<std::size_t> flat_whole = whole.blocks[0];
+  flat_whole.insert(flat_whole.end(), whole.blocks[1].begin(),
+                    whole.blocks[1].end());
+  EXPECT_EQ(flat, flat_whole);
+}
+
+TEST(BatchPlan, BalancedBlocksAreContiguousDepthOrderedSlices) {
+  for (std::size_t lanes = 1; lanes <= 70; ++lanes) {
+    const auto specs = plan_group(lanes);
+    const auto ptrs = pointers(specs);
+    const auto whole = core::detail::plan_batch(ptrs, 1);
+    std::vector<std::size_t> order;
+    for (const auto& block : whole.blocks) {
+      order.insert(order.end(), block.begin(), block.end());
+    }
+    for (std::size_t threads = 1; threads <= 9; ++threads) {
+      SCOPED_TRACE(std::to_string(lanes) + " lanes on " +
+                   std::to_string(threads) + " threads");
+      const auto plan = core::detail::plan_batch(ptrs, threads);
+      // Every index exactly once, in the one-thread plan's depth order.
+      std::vector<std::size_t> flat;
+      for (const auto& block : plan.blocks) {
+        ASSERT_FALSE(block.empty());
+        ASSERT_LE(block.size(), core::detail::kBatchLaneBlock);
+        flat.insert(flat.end(), block.begin(), block.end());
+      }
+      ASSERT_EQ(flat, order);
+      for (std::size_t b = 1; b < plan.blocks.size(); ++b) {
+        EXPECT_GE(plan.blocks[b - 1].size(), plan.blocks[b].size());
+      }
+      EXPECT_LE(padded_lanes(plan.blocks), padded_lanes(whole.blocks));
+      const std::size_t whole_blocks = (lanes + 15) / 16;
+      if (lanes > 16 && whole_blocks < threads) {
+        EXPECT_EQ(plan.blocks.size(), std::min(threads, (lanes + 7) / 8));
+      } else {
+        EXPECT_EQ(plan.blocks, whole.blocks);
+      }
+    }
+  }
+}
+
+TEST(BatchPlan, GroupsThatFitOneBlockStayWhole) {
+  for (const std::size_t lanes : {1u, 7u, 9u, 16u}) {
+    const auto specs = plan_group(lanes);
+    const auto ptrs = pointers(specs);
+    const auto whole = core::detail::plan_batch(ptrs, 1);
+    ASSERT_EQ(whole.blocks.size(), 1u);
+    EXPECT_EQ(core::detail::plan_batch(ptrs, 8).blocks, whole.blocks)
+        << lanes << " lanes";
+  }
 }
 
 // ------------------------------------------------------------------ parity
@@ -707,7 +830,7 @@ TEST(McBatchPlan, RoutesMulticlassSeriesKindsToMcBlocks) {
   specs.push_back(mix_spec("exact-b", 0.9, 7, SolverKind::kExactMulticlass));
   std::vector<const ScenarioSpec*> ptrs;
   for (const auto& s : specs) ptrs.push_back(&s);
-  const auto plan = core::detail::plan_batch(ptrs);
+  const auto plan = core::detail::plan_batch(ptrs, 1);
 
   ASSERT_EQ(plan.blocks.size(), 1u);  // the VINS lane
   // Schweitzer and exact mixes group separately (kind is in the key),
@@ -718,6 +841,24 @@ TEST(McBatchPlan, RoutesMulticlassSeriesKindsToMcBlocks) {
   // MoM is a single-level moment recursion with no shared axis — scalar.
   ASSERT_EQ(plan.scalars.size(), 1u);
   EXPECT_EQ(plan.scalars[0], 4u);
+}
+
+TEST(McBatchPlan, MulticlassGroupsIgnoreTheThreadCount) {
+  // Schweitzer mixes chunk at 32 lanes, exact mixes at 16; more threads
+  // than blocks cuts neither.
+  std::vector<ScenarioSpec> specs;
+  for (unsigned i = 0; i < 40; ++i) {
+    specs.push_back(mix_spec("schw", 1.0 + 0.01 * i, 2 + i % 7));
+  }
+  for (unsigned i = 0; i < 20; ++i) {
+    specs.push_back(mix_spec("exact", 1.0 + 0.01 * i, 2 + i % 5,
+                             SolverKind::kExactMulticlass));
+  }
+  const auto ptrs = pointers(specs);
+  const auto whole = core::detail::plan_batch(ptrs, 1);
+  EXPECT_EQ(block_sizes(whole.mc_blocks),
+            (std::vector<std::size_t>{32, 8, 16, 4}));
+  EXPECT_EQ(core::detail::plan_batch(ptrs, 8).mc_blocks, whole.mc_blocks);
 }
 
 TEST(McBatchPlan, KeySeparatesClassStructureNotLaneData) {
@@ -895,6 +1036,46 @@ TEST(McEngineBatch, CachedClassGridDeepensThroughTheBatchPath) {
   // The deepened entry answers both depths from cache now.
   EXPECT_TRUE(engine.evaluate(mixed_model_spec("hit", 1.0, 12)).cache_hit);
   EXPECT_TRUE(engine.evaluate(mixed_model_spec("hit4", 1.0, 4)).cache_hit);
+}
+
+TEST(EngineBatch, BalancedFleetFlushIsBitIdenticalToScalar) {
+  // 26 fleet lanes on a 2-worker pool plan for 3 threads: blocks of
+  // 10 | 8 | 8 lanes, next to one multiclass block.
+  ThreadPool pool(2);
+  service::EngineOptions options;
+  options.pool = &pool;
+  service::Engine engine(options);
+  std::vector<ScenarioSpec> specs;
+  for (std::size_t l = 0; l < 26; ++l) {
+    ScenarioSpec spec;
+    spec.label = "fleet-" + std::to_string(l);
+    spec.network = fleet_network();
+    spec.demands = fleet_demands(l, 1.0);
+    spec.options.solver = SolverKind::kMvasd;
+    spec.options.max_population = 150 + static_cast<unsigned>((l * 53) % 250);
+    specs.push_back(std::move(spec));
+  }
+  for (unsigned i = 0; i < 3; ++i) {
+    specs.push_back(mix_spec("mix-" + std::to_string(i), 1.0 + 0.1 * i,
+                             5 + 2 * i));
+  }
+  const auto evals = engine.evaluate_batch(specs);
+  ASSERT_EQ(evals.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("spec " + specs[i].label);
+    EXPECT_FALSE(evals[i].cache_hit);
+    expect_bitwise(*evals[i].result, core::solve(specs[i].network,
+                                                 &specs[i].demands,
+                                                 specs[i].options));
+  }
+  const auto m = engine.metrics();
+  EXPECT_EQ(m.batch_blocks, 4u);
+  EXPECT_EQ(m.batch_occupancy[10], 1u);
+  EXPECT_EQ(m.batch_occupancy[8], 2u);
+  EXPECT_EQ(m.batch_occupancy[3], 1u);  // the multiclass block
+  EXPECT_EQ(m.batch_occupancy[16], 0u);
+  EXPECT_GT(m.batch_busy_ms, 0.0);
+  EXPECT_LE(m.batch_busy_ms, m.batch_capacity_ms);
 }
 
 TEST(DemandGrid, DeepeningConstructorMatchesFreshTabulation) {

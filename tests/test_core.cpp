@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <tuple>
@@ -31,6 +32,7 @@
 #include "core/solve.hpp"
 #include "core/sweep.hpp"
 #include "interp/cubic_spline.hpp"
+#include "interp/polynomial.hpp"
 #include "ops/bounds.hpp"
 
 namespace mtperf::core {
@@ -515,6 +517,92 @@ TEST(DemandGrid, ClampsNegativeSplineValuesLikeModelAt) {
   for (unsigned n = 1; n <= 10; ++n) {
     EXPECT_DOUBLE_EQ(grid.at(n, 0), 0.0);
   }
+}
+
+/// Every row of `grid` must carry the bits of per-entry evaluation: a
+/// fresh cursor walk per cubic station, clamped at zero, or model.at for
+/// other interpolants.
+void expect_rows_bitwise(const DemandGrid& grid, const DemandModel& model) {
+  ASSERT_TRUE(grid.tabulated());
+  for (std::size_t k = 0; k < model.stations(); ++k) {
+    const auto* cubic =
+        dynamic_cast<const interp::PiecewiseCubic*>(model.interpolant(k));
+    std::size_t cursor = 0;
+    for (unsigned n = 1; n <= grid.max_population(); ++n) {
+      const double x = static_cast<double>(n);
+      const double want =
+          cubic != nullptr
+              ? std::max(0.0, cubic->value_with_cursor(x, cursor))
+              : model.at(k, x);
+      const double got = grid.at(n, k);
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << "n=" << n << " k=" << k << ": " << got << " vs " << want;
+    }
+  }
+}
+
+std::shared_ptr<const interp::Interpolator1D> cubic_through(
+    std::vector<double> x, std::vector<double> y,
+    interp::Extrapolation extrapolation) {
+  interp::CubicSplineOptions options;
+  options.extrapolation = extrapolation;
+  return std::make_shared<interp::PiecewiseCubic>(interp::build_cubic_spline(
+      interp::SampleSet(std::move(x), std::move(y)), options));
+}
+
+TEST(DemandGrid, SegmentFillIsBitIdenticalToCursorEvaluation) {
+  using interp::Extrapolation;
+  for (const Extrapolation policy :
+       {Extrapolation::kPegged, Extrapolation::kLinear,
+        Extrapolation::kNatural}) {
+    SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)));
+    std::vector<std::shared_ptr<const interp::Interpolator1D>> fns;
+    // Knots on integers, the first at n = 1 (the served fleet's shape),
+    // with jittered ordinates: at an interior knot the left segment's end
+    // value often rounds to the right one's start, so only several
+    // stations make a knot filled from the wrong segment show.
+    const std::vector<double> knots = {1, 100, 300, 600, 1000, 1500};
+    for (int station = 0; station < 8; ++station) {
+      std::vector<double> y;
+      for (std::size_t j = 0; j < knots.size(); ++j) {
+        y.push_back(0.02 * (0.8 + 0.2 * std::exp(-knots[j] / 400.0)) +
+                    0.003 * std::sin(1.7 * station + 2.3 * j));
+      }
+      fns.push_back(cubic_through(knots, std::move(y), policy));
+    }
+    // Knots off integers, starting above n = 1 and ending below N, with
+    // a dip below zero that the fill must clamp.
+    fns.push_back(cubic_through({2.5, 17.3, 60.7, 250.01, 700.5},
+                                {0.01, -0.004, 0.02, 0.003, 0.012}, policy));
+    // Two close knots between one pair of integers.
+    fns.push_back(cubic_through({3.2, 3.7, 40.0}, {0.03, 0.031, 0.02},
+                                policy));
+    // A single-knot cubic: only n = 5 is in range.
+    fns.push_back(std::make_shared<interp::PiecewiseCubic>(
+        std::vector<double>{5.0}, std::vector<double>{0.02},
+        std::vector<double>{-0.004}, std::vector<double>{0.0},
+        std::vector<double>{0.0}, policy, "single-knot"));
+    // A non-cubic interpolant takes the model.at path.
+    fns.push_back(std::make_shared<interp::BarycentricPolynomial>(
+        interp::SampleSet({1.0, 400.0, 900.0}, {0.03, 0.025, 0.028})));
+    const DemandModel model = DemandModel::interpolated(std::move(fns));
+    for (const unsigned depth : {1u, 4u, 5u, 900u, 1600u}) {
+      SCOPED_TRACE("depth " + std::to_string(depth));
+      expect_rows_bitwise(DemandGrid(model, depth), model);
+    }
+    // Deepening reuses the shallow rows and fills the rest by segment.
+    const DemandGrid shallow(model, 130);
+    expect_rows_bitwise(DemandGrid(model, 1600, &shallow), model);
+    expect_rows_bitwise(DemandGrid(model, 60, &shallow), model);
+  }
+}
+
+TEST(DemandGrid, ThrowingExtrapolationThrowsOutsideTheKnots) {
+  const auto fn = cubic_through({1, 50, 200}, {0.02, 0.018, 0.017},
+                                interp::Extrapolation::kThrow);
+  const DemandModel model = DemandModel::interpolated({fn});
+  expect_rows_bitwise(DemandGrid(model, 200), model);
+  EXPECT_THROW(DemandGrid(model, 201), invalid_argument_error);
 }
 
 // ------------------------------------------------------------------ MVASD

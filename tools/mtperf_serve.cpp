@@ -17,10 +17,10 @@
 //   Responses may return out of request order, matched by the echoed
 //   "id".  When the bounded submission queue or a connection's in-flight
 //   cap on misses is full the server sheds with an immediate
-//   {"error":"overloaded"} line —
+//   {"error":"overloaded"} line.  Batching and the queue bound are flags:
 //
-//     $ ./tools/mtperf_serve --port 7171 --batch-size 64 \
-//         --batch-deadline-us 2000 --queue-capacity 1024
+//     $ mtperf_serve --port 7171 --batch-size 64 --batch-deadline-us 2000
+//     $ mtperf_serve --port 7171 --queue-capacity 1024
 //
 // See service/request.hpp for the request/response schema (it is the
 // same on both transports).  Besides flat scenario requests, both
